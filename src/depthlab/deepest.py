@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import as_dataset, ls_depth2, regression_depth, tukey_depth
+from .depth import (_data_directions, _ProjectionDepth, as_dataset,
+                    build_directions, ls_depth2, regression_depth, tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -38,14 +39,13 @@ class SearchConfig:
     """Knobs for the stochastic depth-ascent searches."""
 
     direction_count: int = 500          # sampled directions per dimension
-    restarts: int = 8
     max_iterations: int = 100
     step_shrink: float = 0.5
     tolerance: float = 1e-3
     rng: RngStream = field(default_factory=lambda: RngStream(2024))
 
     def __post_init__(self):
-        if min(self.direction_count, self.restarts, self.max_iterations) < 1:
+        if min(self.direction_count, self.max_iterations) < 1:
             raise ValueError("counts must be >= 1")
         if not 0.0 < self.step_shrink < 1.0:
             raise ValueError("step_shrink must lie in (0, 1)")
@@ -62,29 +62,6 @@ def lower_median(values):
 # ---------------------------------------------------------------------------
 # Halfspace-deepest location
 # ---------------------------------------------------------------------------
-
-class _ProjectionDepth:
-    """Sampled halfspace depth of many candidate points via sorted projections."""
-
-    def __init__(self, x, dirs):
-        self.u = np.asarray(dirs, dtype=float)
-        self.n = x.shape[0]
-        self.proj = np.sort(x @ self.u.T, axis=0)      # (n, K)
-
-    def depths(self, thetas):
-        t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
-        out = np.empty(t.shape[0])
-        below = np.empty_like(t, dtype=np.int64)
-        above = np.empty_like(t, dtype=np.int64)
-        for k in range(self.u.shape[0]):
-            col = self.proj[:, k]
-            tol = 1e-12 * max(1.0, abs(col[0]), abs(col[-1]))
-            below[:, k] = np.searchsorted(col, t[:, k] + tol, side="right")
-            above[:, k] = self.n - np.searchsorted(col, t[:, k] - tol, side="left")
-        np.minimum(below, above, out=below)
-        out[:] = below.min(axis=1) / self.n
-        return out
-
 
 def tukey_median(data, cfg=None):
     """Deepest location: maximizer of the halfspace depth over candidates.
@@ -105,17 +82,10 @@ def tukey_median(data, cfg=None):
         def depth_many(cands):
             return np.array([tukey_depth(c, x, exact=True) for c in cands])
     else:
-        pool = [unit_directions(cfg.direction_count * p, p, cfg.rng.child(11))]
-        med0 = np.median(x, axis=0)
-        z = x - med0
-        nrm = np.linalg.norm(z, axis=1)
-        keep = nrm > 1e-12 * max(1.0, nrm.max(initial=0.0))
-        if np.any(keep):
-            zk = z[keep]
-            if zk.shape[0] > 500:
-                zk = zk[np.linspace(0, zk.shape[0] - 1, 500).astype(int)]
-            pool.append(zk / np.linalg.norm(zk, axis=1)[:, None])
-        evaluator = _ProjectionDepth(x, np.vstack(pool))
+        dirs = build_directions(x, center=np.median(x, axis=0),
+                                rng=cfg.rng.child(11),
+                                per_dim=cfg.direction_count)
+        evaluator = _ProjectionDepth(x, dirs)
 
         def depth_many(cands):
             return evaluator.depths(np.asarray(cands))
@@ -166,16 +136,8 @@ def _scatter_pool(xc, gamma0, cfg):
     g = unit_directions(cfg.direction_count * p, p, cfg.rng.child(21))
     u = np.linalg.solve(l0.T, g.T).T
     u /= np.linalg.norm(u, axis=1)[:, None]
-    pools = [u, np.eye(p)]
     w = np.linalg.solve(gamma0.entries, xc.T).T
-    nrm = np.linalg.norm(w, axis=1)
-    keep = nrm > 1e-12 * max(1.0, nrm.max(initial=0.0))
-    w = w[keep]
-    if w.shape[0] > 500:
-        w = w[np.linspace(0, w.shape[0] - 1, 500).astype(int)]
-    if w.shape[0]:
-        pools.append(w / np.linalg.norm(w, axis=1)[:, None])
-    return np.vstack(pools)
+    return np.vstack([u, np.eye(p), _data_directions(w)])
 
 
 def deepest_scatter(data, center, cfg=None, return_info=False):

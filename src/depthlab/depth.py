@@ -82,29 +82,29 @@ def read_dataset(path):
     return as_dataset(np.array(rows))
 
 
-def build_directions(data, center=None, rng=None, per_dim=500, data_dirs=True,
-                     max_data_dirs=500):
+def _data_directions(z):
+    """Rows of ``z`` as unit directions: zero rows are dropped and at most
+    500 rows, evenly spaced in the original order, are kept."""
+    norms = np.linalg.norm(z, axis=1)
+    z = z[norms > 1e-12 * max(1.0, norms.max(initial=0.0))]
+    if z.shape[0] > 500:
+        z = z[np.linspace(0, z.shape[0] - 1, 500).astype(int)]
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+def build_directions(data, center=None, rng=None, per_dim=500):
     """Direction pool for sampled depths: seeded Gaussians plus data directions.
 
-    Defaults follow the artifact convention of ``500 * p`` sampled unit
-    vectors augmented with the (normalized) centered observations.
+    ``per_dim * p`` sampled unit vectors followed by the normalized
+    observations centered at ``center`` (the origin by default), as thinned
+    by :func:`_data_directions`.
     """
     x = as_dataset(data)
-    n, p = x.shape
+    p = x.shape[1]
     rng = rng if rng is not None else RngStream(0)
-    dirs = [unit_directions(per_dim * p, p, rng)]
-    if data_dirs:
-        c = np.zeros(p) if center is None else np.asarray(center, dtype=float)
-        z = x - c
-        norms = np.linalg.norm(z, axis=1)
-        keep = norms > 1e-12 * max(1.0, norms.max(initial=0.0))
-        z = z[keep]
-        if z.shape[0] > max_data_dirs:
-            idx = np.linspace(0, z.shape[0] - 1, max_data_dirs).astype(int)
-            z = z[idx]
-        if z.shape[0]:
-            dirs.append(z / np.linalg.norm(z, axis=1)[:, None])
-    return np.vstack(dirs)
+    c = np.zeros(p) if center is None else np.asarray(center, dtype=float)
+    return np.vstack([unit_directions(per_dim * p, p, rng),
+                      _data_directions(x - c)])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,33 @@ def _tukey_exact_2d(theta, x):
     return float(counts.min()) / n
 
 
+class _ProjectionDepth:
+    """Sampled halfspace depth of many candidate points via sorted projections.
+
+    Per direction, points within a tolerance of the boundary (scaled by the
+    largest projection) count on both sides.
+    """
+
+    def __init__(self, x, dirs):
+        self.u = np.asarray(dirs, dtype=float)
+        self.n = x.shape[0]
+        self.proj = np.sort(x @ self.u.T, axis=0)      # (n, K)
+
+    def depths(self, thetas):
+        t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
+        out = np.empty(t.shape[0])
+        below = np.empty_like(t, dtype=np.int64)
+        above = np.empty_like(t, dtype=np.int64)
+        for k in range(self.u.shape[0]):
+            col = self.proj[:, k]
+            tol = _TIE_RTOL * max(1.0, abs(col[0]), abs(col[-1]))
+            below[:, k] = np.searchsorted(col, t[:, k] + tol, side="right")
+            above[:, k] = self.n - np.searchsorted(col, t[:, k] - tol, side="left")
+        np.minimum(below, above, out=below)
+        out[:] = below.min(axis=1) / self.n
+        return out
+
+
 def tukey_depth(theta, data, dirs=None, exact=None):
     """Halfspace depth of ``theta``: inf over directions of P(u'X <= u'theta).
 
@@ -162,7 +189,7 @@ def tukey_depth(theta, data, dirs=None, exact=None):
     """
     x = as_dataset(data)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n, p = x.shape
+    p = x.shape[1]
     if theta.shape != (p,):
         raise ValueError("theta dimension does not match data")
     if p == 1:
@@ -175,13 +202,7 @@ def tukey_depth(theta, data, dirs=None, exact=None):
         return _tukey_exact_2d(theta, x)
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled halfspace depth needs a nonempty direction pool")
-    u = np.asarray(dirs, dtype=float)
-    proj = x @ u.T
-    pt = theta @ u.T
-    tol = _TIE_RTOL * np.maximum(1.0, np.abs(proj).max(axis=0))
-    below = np.sum(proj <= pt + tol, axis=0)
-    above = np.sum(proj >= pt - tol, axis=0)
-    return float(min(below.min(), above.min())) / n
+    return float(_ProjectionDepth(x, dirs).depths(theta)[0])
 
 
 # ---------------------------------------------------------------------------

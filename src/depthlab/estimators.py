@@ -30,7 +30,8 @@ from scipy.integrate import quad
 
 from .deepest import SearchConfig, deepest_scatter, tukey_median
 from .depth import as_dataset
-from .numerics import RngStream, m_scale, unit_directions
+from .numerics import (RngStream, _mahal_sq, _singular_spectrum, m_scale,
+                       unit_directions)
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -54,8 +55,6 @@ __all__ = [
     "run_estimator",
 ]
 
-ESTIMATOR_IDS = ("SCOV", "MVE", "MCD", "SE", "ROCKE", "MM", "SD", "MDEPTH")
-
 _SQRT_BETA = 0.6744897501960817      # Phi^{-1}(3/4)
 _BETA = _SQRT_BETA * _SQRT_BETA
 
@@ -76,7 +75,7 @@ class EstimatorResult:
 
 def _is_singular(cov):
     vals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    return bool(vals[0] <= 1e-12 * max(1.0, vals[-1]))
+    return _singular_spectrum(vals[0], vals[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +226,11 @@ def _chol_gate(cov, rtol=1e-7):
     return chol
 
 
-def _mahal_sq(x, mu, cov):
-    z = x - mu
-    try:
-        sol = np.linalg.solve(cov, z.T)
-    except np.linalg.LinAlgError:
-        return None
-    return np.maximum(np.einsum("ij,ji->i", z, sol), 0.0)
+def _mean_cov(rows):
+    """Mean and 1/len(rows) covariance of the rows of a data matrix."""
+    mu = rows.mean(axis=0)
+    z = rows - mu
+    return mu, z.T @ z / len(rows)
 
 
 def _median_distance_rescale(x, mu, cov):
@@ -272,10 +269,8 @@ def _chi2_reweight(x, mu, cov, passes=2, coverage=0.975):
         keep = d <= cutoff
         if keep.sum() <= p + 1:
             break
-        mu_new = x[keep].mean(axis=0)
-        z = x[keep] - mu_new
-        cov_new = (z.T @ z / keep.sum()) / factor
-        cov_new = _median_distance_rescale(x, mu_new, cov_new)
+        mu_new, cov_new = _mean_cov(x[keep])
+        cov_new = _median_distance_rescale(x, mu_new, cov_new / factor)
         if _chol_gate(cov_new) is None:
             break
         mu, cov = mu_new, cov_new
@@ -308,9 +303,7 @@ def scov(data):
     n, p = x.shape
     if n < 2:
         raise ValueError("need at least two observations")
-    mu = x.mean(axis=0)
-    z = x - mu
-    cov = z.T @ z / n
+    mu, cov = _mean_cov(x)
     cov = 0.5 * (cov + cov.T)
     return EstimatorResult("SCOV", mu, cov, iterations=0, converged=True,
                            singular=_is_singular(cov))
@@ -354,10 +347,7 @@ def mve(data, subsets=500, rng=None):
     cands = []
     for _ in range(subsets):
         idx = gen.choice(n, size=p + 1, replace=False)
-        sub = x[idx]
-        mu = sub.mean(axis=0)
-        z = sub - mu
-        cov = z.T @ z / (p + 1)
+        mu, cov = _mean_cov(x[idx])
         got = coverage(mu, cov)
         if got is None:
             continue
@@ -372,9 +362,7 @@ def mve(data, subsets=500, rng=None):
     for logvol, m2, mu, cov, d in cands[:10]:
         for _ in range(10):
             keep = np.argpartition(d, h - 1)[:h]
-            mu_new = x[keep].mean(axis=0)
-            z = x[keep] - mu_new
-            cov_new = z.T @ z / h
+            mu_new, cov_new = _mean_cov(x[keep])
             got = coverage(mu_new, cov_new)
             if got is None or got[0] >= logvol - 1e-12:
                 break
@@ -414,16 +402,12 @@ def mcd(data, subsets=500, csteps=20, rng=None):
     for _ in range(subsets):
         size = p + 1
         idx = gen.choice(n, size=size, replace=False)
-        mu = x[idx].mean(axis=0)
-        z = x[idx] - mu
-        cov = z.T @ z / size
+        mu, cov = _mean_cov(x[idx])
         # Grow degenerate starts until the covariance is trustworthy.
         while _chol_gate(cov) is None and size < min(n, 4 * (p + 1)):
             size += p
             idx = gen.choice(n, size=min(size, n), replace=False)
-            mu = x[idx].mean(axis=0)
-            z = x[idx] - mu
-            cov = z.T @ z / len(idx)
+            mu, cov = _mean_cov(x[idx])
         if _chol_gate(cov) is None:
             continue
         old_det = np.inf
@@ -434,9 +418,7 @@ def mcd(data, subsets=500, csteps=20, rng=None):
             if d is None:
                 break
             keep = np.argpartition(d, h - 1)[:h]
-            mu = x[keep].mean(axis=0)
-            z = x[keep] - mu
-            cov = z.T @ z / h
+            mu, cov = _mean_cov(x[keep])
             chol = _chol_gate(cov)
             if chol is None:
                 break
@@ -634,7 +616,7 @@ def mm(data, rng=None, subsets=500):
     s0 = float(np.exp(logdet / p))
     c = _mm_tuning_constant(p)
     mu, shape, obj, iters, converged, obj_trace = _mm_refine(
-        x, s_res.location, _unit_det(s_res.scatter), c * s0)
+        x, s_res.location, s_res.scatter / s0, c * s0)
     cov = s0 * shape
     return EstimatorResult("MM", mu, 0.5 * (cov + cov.T), iterations=iters,
                            converged=converged, singular=_is_singular(cov),
@@ -722,24 +704,27 @@ def mdepth_estimator(data, cfg=None, rng=None):
 # Registry
 # ---------------------------------------------------------------------------
 
+# The order is part of the records format: simlab seeds the estimator at
+# position i from stream key 1000 + i, so reordering or inserting an entry
+# changes every record.  Entries look the estimators up by their global names
+# at call time, so rebinding a name (tracing, monkeypatching) reaches them.
+_REGISTRY = {
+    "SCOV": lambda data, rng: scov(data),
+    "MVE": lambda data, rng: mve(data, rng=rng),
+    "MCD": lambda data, rng: mcd(data, rng=rng),
+    "SE": lambda data, rng: s_bisquare(data, rng=rng),
+    "ROCKE": lambda data, rng: rocke(data, rng=rng),
+    "MM": lambda data, rng: mm(data, rng=rng),
+    "SD": lambda data, rng: stahel_donoho(data, rng=rng),
+    "MDEPTH": lambda data, rng: mdepth_estimator(data, rng=rng),
+}
+ESTIMATOR_IDS = tuple(_REGISTRY)
+
+
 def run_estimator(estimator_id, data, rng):
     """Uniform dispatch used by the simulation engine."""
-    eid = estimator_id.upper()
-    if eid == "SCOV":
-        return scov(data)
-    if eid == "MVE":
-        return mve(data, rng=rng)
-    if eid == "MCD":
-        return mcd(data, rng=rng)
-    if eid == "SE":
-        return s_bisquare(data, rng=rng)
-    if eid == "ROCKE":
-        return rocke(data, rng=rng)
-    if eid == "MM":
-        return mm(data, rng=rng)
-    if eid == "SD":
-        return stahel_donoho(data, rng=rng)
-    if eid == "MDEPTH":
-        return mdepth_estimator(data, rng=rng)
-    raise KeyError(f"unknown estimator id {estimator_id!r}; "
-                   f"known: {ESTIMATOR_IDS}")
+    fit = _REGISTRY.get(estimator_id.upper())
+    if fit is None:
+        raise KeyError(f"unknown estimator id {estimator_id!r}; "
+                       f"known: {ESTIMATOR_IDS}")
+    return fit(data, rng)

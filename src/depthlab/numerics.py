@@ -131,14 +131,24 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def inverse_quadratic(self, z):
-        """``z' Sigma^{-1} z`` for rows of ``z``, via the eigenbasis."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        y = z @ self.eigenvectors
-        return np.sum(y * y / self.eigenvalues, axis=1)
+    def is_singular(self) -> bool:
+        return _singular_spectrum(self.eigenvalues[-1], self.eigenvalues[0])
 
-    def is_singular(self, rtol: float = _SINGULAR_RTOL) -> bool:
-        return bool(self.eigenvalues[-1] <= rtol * max(self.eigenvalues[0], 1.0))
+
+def _singular_spectrum(smallest, largest):
+    """Singularity test of a symmetric matrix from its extreme eigenvalues."""
+    return bool(smallest <= _SINGULAR_RTOL * max(1.0, largest))
+
+
+def _mahal_sq(x, mu, cov):
+    """Squared Mahalanobis distances of the rows of ``x`` by a linear solve;
+    ``None`` when ``cov`` is exactly singular."""
+    z = x - mu
+    try:
+        sol = np.linalg.solve(cov, z.T)
+    except np.linalg.LinAlgError:
+        return None
+    return np.maximum(np.einsum("ij,ji->i", z, sol), 0.0)
 
 
 def mahalanobis_sq(x, mu, sigma):
@@ -155,8 +165,9 @@ def mahalanobis_sq(x, mu, sigma):
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     single = x.ndim == 1
-    d = sigma.inverse_quadratic(np.atleast_2d(x) - mu)
-    d = np.maximum(d, 0.0)
+    d = _mahal_sq(np.atleast_2d(x), mu, sigma.entries)
+    if d is None:
+        raise ValueError("scatter matrix is numerically singular")
     return float(d[0]) if single else d
 
 

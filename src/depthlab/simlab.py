@@ -160,8 +160,6 @@ def bias_measures(result, spec=None, replicate=0, truth=None):
 def _estimator_stream_key(estimator_id):
     # Stable per-estimator key so results do not depend on which other
     # estimators run in the same grid.
-    from .estimators import ESTIMATOR_IDS
-
     return 1000 + ESTIMATOR_IDS.index(estimator_id.upper())
 
 
@@ -175,7 +173,7 @@ def _one_replicate(args):
         try:
             res = run_estimator(eid, data, stream)
             rec = bias_measures(res, spec=spec, replicate=r)
-        except Exception:
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError):
             rec = BiasRecord(estimator=eid, p=spec.p, n=spec.n,
                              epsilon=spec.epsilon, k=spec.k, replicate=r,
                              lambda1=float("nan"), lambdap=float("nan"),
@@ -190,8 +188,9 @@ def run_grid(cells, estimator_ids=None, replicates=50, csv_path=None,
 
     Emits records to ``csv_path`` cell by cell (append-only) when given;
     with ``resume`` the already-present (cell, estimator, replicate) triples
-    are kept and skipped.  Per-cell estimator failures become flagged rows
-    and never abort the grid.
+    are kept and skipped.  A numerical failure of an estimator
+    (``ValueError``, ``ArithmeticError``, ``LinAlgError``) becomes a flagged
+    row; any other exception is a programming error and aborts the grid.
     """
     estimator_ids = list(estimator_ids or ESTIMATOR_IDS)
     if replicates < 1:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from depthlab.depth import (
+    _ProjectionDepth,
+    build_directions,
     default_mvreg_candidates,
     ls_depth1,
     ls_depth2,
@@ -113,6 +115,62 @@ class TestTukeyDepth:
         large = tukey_depth(theta, x, dirs=unit_directions(400, 2, RngStream(1)),
                             exact=False)
         assert small >= large >= exact - 1e-12
+
+    def test_sampled_counts_match_loop_with_ties(self):
+        # Integer data and integer directions make every projection exact,
+        # so points on a boundary hyperplane are true ties and must count on
+        # both sides.
+        gen = np.random.default_rng(5)
+        x = gen.integers(-3, 4, size=(25, 3)).astype(float)
+        dirs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                         [1, -1, 2], [0, 2, -1], [3, 1, 1]], dtype=float)
+        thetas = np.vstack([x, gen.integers(-3, 4, size=(15, 3)),
+                            [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]]).astype(float)
+
+        def loop_depth(theta):
+            best = len(x)
+            for u in dirs.tolist():
+                t = sum(a * b for a, b in zip(u, theta))
+                proj = [sum(a * b for a, b in zip(u, row)) for row in x.tolist()]
+                below = sum(v <= t for v in proj)
+                above = sum(v >= t for v in proj)
+                best = min(best, below, above)
+            return best / len(x)
+
+        expected = [loop_depth(t) for t in thetas.tolist()]
+        assert _ProjectionDepth(x, dirs).depths(thetas).tolist() == expected
+        got = [tukey_depth(t, x, dirs=dirs) for t in thetas]
+        assert got == expected
+
+
+class TestBuildDirections:
+    def test_gaussian_then_data_directions(self):
+        gen = np.random.default_rng(6)
+        x = gen.standard_normal((30, 3))
+        center = np.array([0.5, -0.5, 1.0])
+        x[[4, 9]] = center                        # rows at the center drop out
+        u = build_directions(x, center=center, rng=RngStream(3), per_dim=7)
+        assert u.shape == (7 * 3 + 28, 3)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(u[:21], unit_directions(21, 3, RngStream(3)))
+        z = np.delete(x, [4, 9], axis=0) - center
+        assert np.allclose(u[21:], z / np.linalg.norm(z, axis=1)[:, None])
+
+    def test_data_directions_capped_at_500(self):
+        x = np.random.default_rng(7).standard_normal((700, 2))
+        u = build_directions(x, rng=RngStream(3), per_dim=5)
+        assert u.shape == (5 * 2 + 500, 2)
+        assert np.allclose(u[10], x[0] / np.linalg.norm(x[0]))
+        assert np.allclose(u[-1], x[-1] / np.linalg.norm(x[-1]))
+
+    def test_deterministic_per_stream(self):
+        x = np.random.default_rng(8).standard_normal((40, 4))
+        a = build_directions(x, rng=RngStream(9).child(11))
+        b = build_directions(x, rng=RngStream(9).child(11))
+        c = build_directions(x, rng=RngStream(9).child(12))
+        assert a.shape == (500 * 4 + 40, 4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestScatterDepth:

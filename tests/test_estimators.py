@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -18,10 +21,9 @@ from depthlab.estimators import (
     stahel_donoho,
     weight_rocke,
     weight_shr,
-    _mahal_sq,
 )
 from depthlab.maxbias import BETA, scatter_eigen_bounds
-from depthlab.numerics import RngStream
+from depthlab.numerics import RngStream, _mahal_sq
 
 
 def bias_b(result):
@@ -292,3 +294,13 @@ class TestSuiteProperties:
         scov_log = np.median(logs["SCOV"])
         for eid in ESTIMATOR_IDS[1:]:
             assert np.median(logs[eid]) <= scov_log - 3.0, eid
+
+
+def test_calibrate_mm_script_imports():
+    # The script imports private estimator helpers (_mm_refine, _unit_det);
+    # loading it fails if they move or are renamed.
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "calibrate_mm.py"
+    spec = importlib.util.spec_from_file_location("calibrate_mm", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.calibrate) and callable(module.main)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from depthlab.estimators import EstimatorResult
+from depthlab import simlab
+from depthlab.estimators import ESTIMATOR_IDS, EstimatorResult
 from depthlab.simlab import (
     AggregateRow,
     BiasRecord,
@@ -137,6 +138,32 @@ class TestRunGrid:
     def test_replicate_seeds_differ(self):
         spec = small_cells()[0]
         assert replicate_seed(spec, 0) != replicate_seed(spec, 1)
+
+    def test_registry_order_fixes_stream_keys(self):
+        # Each estimator draws from stream key 1000 + its registry position,
+        # so this order is part of the records format.
+        assert ESTIMATOR_IDS == ("SCOV", "MVE", "MCD", "SE", "ROCKE", "MM",
+                                 "SD", "MDEPTH")
+        keys = [simlab._estimator_stream_key(e) for e in ESTIMATOR_IDS]
+        assert keys == list(range(1000, 1008))
+        assert simlab._estimator_stream_key("mdepth") == 1007
+
+    def test_numerical_failure_flags_programming_error_propagates(
+            self, monkeypatch, tmp_path):
+        def raising(exc):
+            def fit(eid, data, rng):
+                raise exc
+            return fit
+
+        f = tmp_path / "f.csv"
+        monkeypatch.setattr(simlab, "run_estimator",
+                            raising(np.linalg.LinAlgError("singular matrix")))
+        run_grid(small_cells(ks=(0,)), estimator_ids=["MCD"], replicates=1,
+                 csv_path=str(f))
+        assert f.read_text().splitlines()[1] == "MCD,2,20,0.1,0,0,nan,nan,inf,inf,1"
+        monkeypatch.setattr(simlab, "run_estimator", raising(TypeError("bug")))
+        with pytest.raises(TypeError):
+            run_grid(small_cells(ks=(0,)), estimator_ids=["MCD"], replicates=1)
 
 
 class TestAggregate:
