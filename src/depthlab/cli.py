@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import svg
-from .deepest import SearchConfig
 from .depth import (
     ls_depth1,
     ls_depth2,
@@ -72,7 +71,6 @@ DEFAULT_CONFIG = {
     "replicates": 50,
     "estimators": list(ESTIMATOR_IDS),
     "location_measure": "median",
-    "include_large_tier": False,
     "out": "records.csv",
     "threads": 1,
 }
@@ -149,10 +147,7 @@ def config_cells(cfg):
         if cfg.get("n"):
             sizes = [int(n) for n in cfg["n"]]
         else:
-            factors = list(cfg["n_factors"])
-            if cfg.get("include_large_tier"):
-                factors = factors + [500]
-            sizes = [int(f) * int(p) for f in factors]
+            sizes = [int(f) * int(p) for f in cfg["n_factors"]]
         for n in sizes:
             for eps in cfg["epsilon"]:
                 for k in cfg["k"]:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_data_directions, _ProjectionDepth, as_dataset,
-                    build_directions, ls_depth2, regression_depth, tukey_depth)
+from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ProjectionDepth,
+                    as_dataset, build_directions, ls_depth2, regression_depth,
+                    tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -34,23 +35,18 @@ __all__ = [
 ]
 
 
+# Every ascent runs at most 100 rounds, halves its step (or rescaling
+# factor) after a round without progress, and stops below a step of 1e-3.
+_MAX_ITERATIONS = 100
+_STEP_SHRINK = 0.5
+_TOLERANCE = 1e-3
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the stochastic depth-ascent searches."""
+    """Random stream of the stochastic depth-ascent searches."""
 
-    direction_count: int = 500          # sampled directions per dimension
-    max_iterations: int = 100
-    step_shrink: float = 0.5
-    tolerance: float = 1e-3
     rng: RngStream = field(default_factory=lambda: RngStream(2024))
-
-    def __post_init__(self):
-        if min(self.direction_count, self.max_iterations) < 1:
-            raise ValueError("counts must be >= 1")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 def lower_median(values):
@@ -77,14 +73,12 @@ def tukey_median(data, cfg=None):
     if p == 1:
         return np.array([lower_median(x[:, 0])])
 
-    exact = p == 2 and n <= 400
-    if exact:
+    if p == 2 and n <= 400:
         def depth_many(cands):
-            return np.array([tukey_depth(c, x, exact=True) for c in cands])
+            return np.array([tukey_depth(c, x) for c in cands])
     else:
         dirs = build_directions(x, center=np.median(x, axis=0),
-                                rng=cfg.rng.child(11),
-                                per_dim=cfg.direction_count)
+                                rng=cfg.rng.child(11))
         evaluator = _ProjectionDepth(x, dirs)
 
         def depth_many(cands):
@@ -104,17 +98,27 @@ def tukey_median(data, cfg=None):
     scale = np.median(np.abs(x - np.median(x, axis=0)), axis=0)
     scale = np.where(scale > 0, scale, np.std(x, axis=0))
     scale = np.where(scale > 0, scale, 1.0)
-    gen = cfg.rng.child(12).generator()
-    step = 1.0
-    for _ in range(cfg.max_iterations):
-        props = best[None, :] + step * scale[None, :] * gen.standard_normal((24, p))
+    return _perturbation_ascent(depth_many, best, best_val, scale, 1.0, 24,
+                                cfg.rng.child(12).generator())
+
+
+def _perturbation_ascent(depth_many, best, best_val, scale, step, count, gen):
+    """Shrinking-step random ascent from ``best``.
+
+    Each round draws ``count`` Gaussian proposals around the incumbent with
+    per-coordinate spread ``step * scale`` and moves to the deepest of them
+    if it is strictly deeper; otherwise the step shrinks, and the search
+    stops once it falls below the tolerance.
+    """
+    for _ in range(_MAX_ITERATIONS):
+        props = best + step * scale * gen.standard_normal((count, best.size))
         vals = depth_many(props)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best, best_val = props[j].copy(), float(vals[j])
         else:
-            step *= cfg.step_shrink
-            if step < cfg.tolerance:
+            step *= _STEP_SHRINK
+            if step < _TOLERANCE:
                 break
     return best
 
@@ -123,7 +127,7 @@ def tukey_median(data, cfg=None):
 # Deepest scatter
 # ---------------------------------------------------------------------------
 
-def _scatter_pool(xc, gamma0, cfg):
+def _scatter_pool(xc, gamma0, rng):
     """Direction pool in the metric of the start matrix.
 
     Sampling through the start's Cholesky factor keeps matched-seed runs
@@ -133,7 +137,7 @@ def _scatter_pool(xc, gamma0, cfg):
     if p == 1:
         return np.array([[1.0]])
     l0 = np.linalg.cholesky(gamma0.entries)
-    g = unit_directions(cfg.direction_count * p, p, cfg.rng.child(21))
+    g = unit_directions(_DIRECTIONS_PER_DIM * p, p, rng.child(21))
     u = np.linalg.solve(l0.T, g.T).T
     u /= np.linalg.norm(u, axis=1)[:, None]
     w = np.linalg.solve(gamma0.entries, xc.T).T
@@ -168,7 +172,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     gamma = np.diag(mad * mad)
     gamma0 = SpdMatrix.from_matrix(gamma)
 
-    u = _scatter_pool(xc, gamma0, cfg)
+    u = _scatter_pool(xc, gamma0, cfg.rng)
     proj_sq = (xc @ u.T) ** 2                           # (n, K)
     sorted_sq = np.sort(proj_sq, axis=0)
     targets = sorted_sq[(n - 1) // 2, :]                # per-direction balance point
@@ -192,7 +196,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
 
     score, order, t = eval_depth(gamma)
     trace = [score[0]]
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         improved = False
         for k in order[:5]:
             q = t[k]
@@ -202,7 +206,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
             w = gamma @ u[k]
             delta_dir = np.outer(w, w) / q
             eta = 1.0
-            while eta >= cfg.tolerance:
+            while eta >= _TOLERANCE:
                 delta = np.clip(eta * (ratio - 1.0), -0.95, 9.0)
                 cand = gamma + delta * delta_dir
                 cand_score, cand_order, cand_t = eval_depth(cand)
@@ -211,7 +215,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
                     score, order, t = cand_score, cand_order, cand_t
                     improved = True
                     break
-                eta *= cfg.step_shrink
+                eta *= _STEP_SHRINK
             if improved:
                 break
         trace.append(score[0])
@@ -247,7 +251,7 @@ def deepest_locscale1(data):
     return mu, sigma
 
 
-def deepest_locscale2(data, cfg=None):
+def deepest_locscale2(data):
     """Joint-depth deepest location-scale fit by exact enumeration.
 
     The empirical objective is piecewise constant: candidate locations are
@@ -319,10 +323,10 @@ def deepest_regression(x, y, cfg=None):
 
     dirs = None
     if p > 2:
-        dirs = unit_directions(cfg.direction_count * p, p, cfg.rng.child(31))
+        dirs = unit_directions(_DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
 
     def depth_of(beta):
-        return regression_depth(beta, x, yv, dirs=dirs, exact=(p <= 2))
+        return regression_depth(beta, x, yv, dirs=dirs)
 
     cands = [np.linalg.lstsq(x, yv, rcond=None)[0]]
     gen = cfg.rng.child(32).generator()
@@ -352,16 +356,6 @@ def deepest_regression(x, y, cfg=None):
     if best_val >= 1.0:
         return best
 
-    scale = max(np.linalg.norm(best), 1.0)
-    step = 0.5
-    for _ in range(cfg.max_iterations):
-        props = best[None, :] + step * scale * gen.standard_normal((16, p))
-        pvals = [depth_of(c) for c in props]
-        j = int(np.argmax(pvals))
-        if pvals[j] > best_val:
-            best, best_val = props[j].copy(), pvals[j]
-        else:
-            step *= cfg.step_shrink
-            if step < cfg.tolerance:
-                break
-    return best
+    return _perturbation_ascent(lambda props: [depth_of(c) for c in props],
+                                best, best_val, max(np.linalg.norm(best), 1.0),
+                                0.5, 16, gen)

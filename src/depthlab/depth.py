@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-12
+_DIRECTIONS_PER_DIM = 500     # sampled directions per dimension in a pool
 
 
 def as_dataset(data):
@@ -92,10 +93,10 @@ def _data_directions(z):
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-def build_directions(data, center=None, rng=None, per_dim=500):
+def build_directions(data, center=None, rng=None):
     """Direction pool for sampled depths: seeded Gaussians plus data directions.
 
-    ``per_dim * p`` sampled unit vectors followed by the normalized
+    ``500 p`` sampled unit vectors followed by the normalized
     observations centered at ``center`` (the origin by default), as thinned
     by :func:`_data_directions`.
     """
@@ -103,7 +104,7 @@ def build_directions(data, center=None, rng=None, per_dim=500):
     p = x.shape[1]
     rng = rng if rng is not None else RngStream(0)
     c = np.zeros(p) if center is None else np.asarray(center, dtype=float)
-    return np.vstack([unit_directions(per_dim * p, p, rng),
+    return np.vstack([unit_directions(_DIRECTIONS_PER_DIM * p, p, rng),
                       _data_directions(x - c)])
 
 
@@ -180,12 +181,12 @@ class _ProjectionDepth:
         return out
 
 
-def tukey_depth(theta, data, dirs=None, exact=None):
+def tukey_depth(theta, data, dirs=None):
     """Halfspace depth of ``theta``: inf over directions of P(u'X <= u'theta).
 
-    For p <= 2 (and ``exact`` not set to False) the exact combinatorial
-    infimum is returned; otherwise the minimum over the supplied direction
-    pool, with each direction evaluated along both u and -u.
+    For p <= 2 without a direction pool the exact combinatorial infimum is
+    returned; otherwise the minimum over the supplied pool ``dirs``, with
+    each direction evaluated along both u and -u.
     """
     x = as_dataset(data)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -194,11 +195,7 @@ def tukey_depth(theta, data, dirs=None, exact=None):
         raise ValueError("theta dimension does not match data")
     if p == 1:
         return tukey_depth_1d(theta[0], x)
-    if exact is None:
-        exact = p == 2 and dirs is None
-    if exact:
-        if p != 2:
-            raise ValueError("exact halfspace depth implemented for p <= 2 only")
+    if p == 2 and dirs is None:
         return _tukey_exact_2d(theta, x)
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled halfspace depth needs a nonempty direction pool")
@@ -301,19 +298,19 @@ def _slerp(a, b, t):
     return v / nrm
 
 
-def _pointmass_depth_search(gamma, eps, r, e, rng=None, n_samples=8000,
-                            refine=60):
+def _pointmass_depth_search(gamma, eps, r, e):
     """Numeric infimum of the point-mass depth for a general direction ``e``.
 
     Critical points lie at eigenvectors or on the boundary quadric
     {v' G v = r^2 (v'e)^2}; the search samples the sphere, takes one-sided
     limits onto the quadric along great-circle bisection, and polishes with
-    random restarts.
+    random restarts: 8000 sphere samples, then a local search from each of
+    the 60 shallowest.
     """
     G = gamma.entries
     p = gamma.dim
-    rng = rng if rng is not None else RngStream(1234)
-    pool = [unit_directions(n_samples, p, rng),
+    rng = RngStream(1234)
+    pool = [unit_directions(8000, p, rng),
             gamma.eigenvectors.T, -gamma.eigenvectors.T,
             e[None, :], -e[None, :]]
     v = np.vstack(pool)
@@ -358,7 +355,7 @@ def _pointmass_depth_search(gamma, eps, r, e, rng=None, n_samples=8000,
                        (1 - eps) * gf,              # limit from inside B
                        (1 - eps) * (1 - gf))        # limit from inside A
     # Local polish around the incumbent.
-    order = np.argsort(m)[:refine]
+    order = np.argsort(m)[:60]
     for k in order:
         cur = v[k]
         val = m[k]
@@ -379,7 +376,7 @@ def _pointmass_depth_search(gamma, eps, r, e, rng=None, n_samples=8000,
     return best
 
 
-def scatter_depth_pointmass(gamma, epsilon, r, e, rng=None):
+def scatter_depth_pointmass(gamma, epsilon, r, e):
     """Depth of ``gamma`` under (1-eps) N(0, I) + eps * delta_{r e}.
 
     Exact closed form when ``e`` coincides with the top eigenvector of
@@ -403,7 +400,7 @@ def scatter_depth_pointmass(gamma, epsilon, r, e, rng=None):
     if abs(abs(float(v1 @ e)) - 1.0) <= 1e-9:
         return float(_pointmass_depth_aligned(gamma.eigenvalues, epsilon, r,
                                               gamma.dim))
-    return float(_pointmass_depth_search(gamma, epsilon, r, e, rng=rng))
+    return float(_pointmass_depth_search(gamma, epsilon, r, e))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +423,12 @@ def _sign_fraction(scores, tol):
     return np.sum(scores >= -tol, axis=0)
 
 
-def regression_depth(beta, x, y, dirs=None, exact=None):
+def regression_depth(beta, x, y, dirs=None):
     """Univariate-response regression depth of the fit ``beta``.
 
     inf over nonzero u of P( (u'x_i) * (y_i - beta'x_i) >= 0 ); exact
-    enumeration for p <= 2, sampled directions otherwise.
+    enumeration for p <= 2 without a direction pool, otherwise the minimum
+    over the sampled directions ``dirs``.
     """
     x, y = _check_regression(x, y)
     if y.shape[1] != 1:
@@ -441,13 +439,11 @@ def regression_depth(beta, x, y, dirs=None, exact=None):
     resid = y - x @ beta
     tol_r = _TIE_RTOL * max(1.0, np.abs(resid).max(initial=0.0))
     resid = np.where(np.abs(resid) <= tol_r, 0.0, resid)
-    if exact is None:
-        exact = p <= 2 and dirs is None
-    if exact and p == 1:
+    if dirs is None and p == 1:
         s = x[:, 0] * resid
         tol = _TIE_RTOL * max(1.0, np.abs(s).max(initial=0.0))
         return min(np.sum(s >= -tol), np.sum(-s >= -tol)) / n
-    if exact and p == 2:
+    if dirs is None and p == 2:
         norms = np.linalg.norm(x, axis=1)
         scale = max(1.0, norms.max(initial=0.0))
         nz = norms > _TIE_RTOL * scale
@@ -459,8 +455,6 @@ def regression_depth(beta, x, y, dirs=None, exact=None):
         scores = xu * resid[:, None]
         counts = _sign_fraction(scores, 0.0)
         return float(counts.min()) / n
-    if exact:
-        raise ValueError("exact regression depth implemented for p <= 2 only")
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled regression depth needs a direction pool")
     u = np.asarray(dirs, dtype=float)

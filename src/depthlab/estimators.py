@@ -13,20 +13,26 @@ and the depth estimator divides out its quantile calibration.  Subset and
 direction selection is index-based, so matched-seed runs are exactly
 translation equivariant.
 
-The canonical algorithms are implemented directly with documented defaults
-(500 elemental starts for MVE/MCD, 20 concentration steps, 200 iterations at
-1e-9 tolerance for the iterative estimators, 1000 p directions plus pair
-differences for Stahel-Donoho).
+The canonical algorithms are implemented directly with one fixed design,
+the one the benchmark compares (Maronna & Yohai, CSDA 2017):
+
+* 500 elemental starts for MVE and MCD, at most 20 concentration steps;
+* S-estimators with breakdown delta = 1/2, Rocke's band from alpha = 0.1
+  (Rocke, Ann. Statist. 1996), started from MVE; MM starts from bisquare S;
+* two hard-rejection reweighting passes at 97.5 percent chi-square coverage
+  after MVE and MCD;
+* 200 iterations at 1e-9 tolerance for the iterative estimators, 1000 p
+  directions plus pair differences for Stahel-Donoho.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy import stats
-from scipy.integrate import quad
 
 from .deepest import SearchConfig, deepest_scatter, tukey_median
 from .depth import as_dataset
@@ -60,6 +66,14 @@ _BETA = _SQRT_BETA * _SQRT_BETA
 
 _MAX_ITER = 200
 _ITER_TOL = 1e-9
+
+_SUBSETS = 500                # elemental starts of MVE and MCD
+_CSTEPS = 20                  # concentration steps per MCD start
+_DELTA = 0.5                  # S-estimator breakdown point
+_ROCKE_ALPHA = 0.1            # tail probability that sets Rocke's band
+_REWEIGHT_PASSES = 2
+_REWEIGHT_COVERAGE = 0.975
+_CHOL_RTOL = 1e-7             # smallest/largest Cholesky diagonal ratio
 
 
 @dataclass
@@ -114,9 +128,9 @@ def weight_shr(d):
     return out / _SHR_TOP
 
 
-def rocke_gamma(p, alpha=0.1):
+def rocke_gamma(p):
     """Band half-width of the translated biflat weight."""
-    return min(1.0, stats.chi2.ppf(1.0 - alpha, p) / p - 1.0)
+    return min(1.0, stats.chi2.ppf(1.0 - _ROCKE_ALPHA, p) / p - 1.0)
 
 
 def weight_rocke(t, gamma):
@@ -142,51 +156,47 @@ def rho_rocke(t, gamma):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bisquare_scale_constant(p, delta=0.5):
-    """s solving E rho_bisquare(chi2_p / s) = delta, via partial moments."""
-    def mean_rho(s):
-        f2 = stats.chi2.cdf(s, p + 2)
-        f4 = stats.chi2.cdf(s, p + 4)
-        f6 = stats.chi2.cdf(s, p + 6)
-        tail = 1.0 - stats.chi2.cdf(s, p)
-        m1 = p * f2
-        m2 = p * (p + 2) * f4
-        m3 = p * (p + 2) * (p + 4) * f6
-        return 3 * m1 / s - 3 * m2 / s ** 2 + m3 / s ** 3 + tail
+def _scale_constant(p, lo, hi, coefs):
+    """s solving E rho(chi2_p / s) = 1/2 for rho(t) = 0 on t <= lo,
+    sum_k coefs[k] t^k on lo < t <= hi and 1 above, by bisection.
 
-    lo, hi = 1e-6, 10.0 * p
-    while mean_rho(hi) > delta:
-        hi *= 2.0
+    Closed form through the chi-square partial moments
+    E[d^k; a < d <= b] = p (p + 2) ... (p + 2k - 2) (F_{p+2k}(b) - F_{p+2k}(a)).
+    """
+    def mean_rho(s):
+        a, b = s * lo, s * hi
+        total = 0.0
+        for k, c in enumerate(coefs):
+            prod = math.prod(range(p, p + 2 * k, 2))
+            mass = stats.chi2.cdf(b, p + 2 * k) - stats.chi2.cdf(a, p + 2 * k)
+            total += c * (prod * mass) / s ** k
+        return total + (1.0 - stats.chi2.cdf(b, p))
+
+    s_lo, s_hi = 1e-6, 10.0 * p
+    while mean_rho(s_hi) > _DELTA:
+        s_hi *= 2.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_rho(mid) > delta:
-            lo = mid
+        mid = 0.5 * (s_lo + s_hi)
+        if mean_rho(mid) > _DELTA:
+            s_lo = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s_hi = mid
+    return 0.5 * (s_lo + s_hi)
 
 
-@lru_cache(maxsize=None)
-def _rocke_scale_constant(p, alpha=0.1, delta=0.5):
-    """s solving E rho_rocke(chi2_p / s) = delta (numeric quadrature)."""
-    gamma = rocke_gamma(p, alpha)
+def _bisquare_scale_constant(p):
+    """s solving E rho_bisquare(chi2_p / s) = 1/2: rho(t) = 3t - 3t^2 + t^3."""
+    return _scale_constant(p, 0.0, 1.0, (0.0, 3.0, -3.0, 1.0))
 
-    def mean_rho(s):
-        val, _ = quad(lambda d: rho_rocke(d / s, gamma) * stats.chi2.pdf(d, p),
-                      0.0, s * (1.0 + gamma), limit=200)
-        val += 1.0 - stats.chi2.cdf(s * (1.0 + gamma), p)
-        return val
 
-    lo, hi = 1e-6, 10.0 * p
-    while mean_rho(hi) > delta:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mean_rho(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _rocke_scale_constant(p):
+    """s solving E rho_rocke(chi2_p / s) = 1/2: :func:`rho_rocke` expanded
+    as a cubic in t on its band (1 - gamma, 1 + gamma)."""
+    g = rocke_gamma(p)
+    k = 3.0 / (4.0 * g)
+    coefs = (k * (g - 1.0 - (g ** 3 - 1.0) / (3.0 * g * g)),
+             k * (1.0 - 1.0 / (g * g)), k / (g * g), -k / (3.0 * g * g))
+    return _scale_constant(p, 1.0 - g, 1.0 + g, coefs)
 
 
 def _mm_tuning_constant(p):
@@ -214,14 +224,14 @@ def _mm_tuning_constant(p):
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _chol_gate(cov, rtol=1e-7):
+def _chol_gate(cov):
     """Cholesky factor of a trustworthy SPD matrix, else None."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         return None
     diag = np.diag(chol)
-    if diag.min() <= rtol * diag.max():
+    if diag.min() <= _CHOL_RTOL * diag.max():
         return None
     return chol
 
@@ -251,7 +261,7 @@ def _median_distance_rescale(x, mu, cov):
     return cov
 
 
-def _chi2_reweight(x, mu, cov, passes=2, coverage=0.975):
+def _chi2_reweight(x, mu, cov):
     """Hard-rejection reweighting at the chi-square coverage cutoff.
 
     Each pass recomputes the trimmed mean and covariance from the points
@@ -260,9 +270,9 @@ def _chi2_reweight(x, mu, cov, passes=2, coverage=0.975):
     a distorted raw subset estimate.
     """
     n, p = x.shape
-    cutoff = stats.chi2.ppf(coverage, p)
-    factor = stats.chi2.cdf(cutoff, p + 2) / coverage
-    for _ in range(passes):
+    cutoff = stats.chi2.ppf(_REWEIGHT_COVERAGE, p)
+    factor = stats.chi2.cdf(cutoff, p + 2) / _REWEIGHT_COVERAGE
+    for _ in range(_REWEIGHT_PASSES):
         d = _mahal_sq(x, mu, cov)
         if d is None:
             break
@@ -313,8 +323,8 @@ def scov(data):
 # 2. Minimum volume ellipsoid
 # ---------------------------------------------------------------------------
 
-def mve(data, subsets=500, rng=None):
-    """Best of ``subsets`` elemental ellipsoids inflated to cover h points.
+def mve(data, rng=None):
+    """Best of 500 elemental ellipsoids inflated to cover h points.
 
     Each random (p+1)-subset defines a center and shape; the candidate
     volume is det(shape) * (h-th smallest shape distance)^p.  The winner is
@@ -345,7 +355,7 @@ def mve(data, subsets=500, rng=None):
         return logdet + p * np.log(m2), m2, d
 
     cands = []
-    for _ in range(subsets):
+    for _ in range(_SUBSETS):
         idx = gen.choice(n, size=p + 1, replace=False)
         mu, cov = _mean_cov(x[idx])
         got = coverage(mu, cov)
@@ -373,7 +383,7 @@ def mve(data, subsets=500, rng=None):
     _, mu, cov = best
     cov = _median_distance_rescale(x, mu, cov)
     mu, cov = _chi2_reweight(x, mu, cov)
-    return EstimatorResult("MVE", mu, 0.5 * (cov + cov.T), iterations=subsets,
+    return EstimatorResult("MVE", mu, 0.5 * (cov + cov.T), iterations=_SUBSETS,
                            converged=True, singular=_is_singular(cov),
                            extras={"h": h})
 
@@ -382,7 +392,7 @@ def mve(data, subsets=500, rng=None):
 # 3. Minimum covariance determinant (fast-MCD)
 # ---------------------------------------------------------------------------
 
-def mcd(data, subsets=500, csteps=20, rng=None):
+def mcd(data, rng=None):
     """Fast-MCD: random elemental starts refined by concentration steps.
 
     Each step keeps the h observations with smallest Mahalanobis distance
@@ -399,7 +409,7 @@ def mcd(data, subsets=500, csteps=20, rng=None):
     h = (n + p + 1) // 2
 
     best = None
-    for _ in range(subsets):
+    for _ in range(_SUBSETS):
         size = p + 1
         idx = gen.choice(n, size=size, replace=False)
         mu, cov = _mean_cov(x[idx])
@@ -413,7 +423,7 @@ def mcd(data, subsets=500, csteps=20, rng=None):
         old_det = np.inf
         trace = []
         it = 0
-        for it in range(csteps):
+        for it in range(_CSTEPS):
             d = _mahal_sq(x, mu, cov)
             if d is None:
                 break
@@ -449,8 +459,7 @@ def mcd(data, subsets=500, csteps=20, rng=None):
 # 4/5. S-estimators (bisquare and Rocke weights)
 # ---------------------------------------------------------------------------
 
-def _s_iterations(x, mu, shape, rho, weight_fn, scale_constant, est_id,
-                  normalize_argument=False):
+def _s_iterations(x, mu, shape, rho, weight_fn, scale_constant, est_id):
     """Shared fixed-point loop for S-type estimators.
 
     ``shape`` has unit determinant throughout; the M-scale of squared
@@ -467,7 +476,7 @@ def _s_iterations(x, mu, shape, rho, weight_fn, scale_constant, est_id,
         if d is None:
             break
         try:
-            s = m_scale(d, rho, 0.5)
+            s = m_scale(d, rho, _DELTA)
         except ValueError:
             break
         if s_best is None or s < s_best:
@@ -502,7 +511,7 @@ def _s_iterations(x, mu, shape, rho, weight_fn, scale_constant, est_id,
                                    "scale_trace": scale_trace})
 
 
-def s_bisquare(data, delta=0.5, rng=None, subsets=500):
+def s_bisquare(data, rng=None):
     """Bisquare S-estimator of multivariate location and scatter.
 
     Iterative reweighting from an MVE start; the bisquare rho acts on
@@ -516,18 +525,15 @@ def s_bisquare(data, delta=0.5, rng=None, subsets=500):
     if n <= 2 * p:
         raise ValueError("need n > 2p")
     rng = rng if rng is not None else RngStream(0)
-    start = mve(x, subsets=subsets, rng=rng.child(1))
+    start = mve(x, rng=rng.child(1))
     shape = _unit_det(start.scatter)
     if shape is None:
         raise ValueError("degenerate MVE start")
-    if delta != 0.5:
-        raise ValueError("only delta = 1/2 is calibrated")
     return _s_iterations(x, start.location, shape, rho_bisquare,
-                         weight_bisquare, _bisquare_scale_constant(p, delta),
-                         "SE")
+                         weight_bisquare, _bisquare_scale_constant(p), "SE")
 
 
-def rocke(data, alpha=0.1, rng=None, subsets=500):
+def rocke(data, rng=None):
     """Rocke's S-estimator with the translated biflat weight.
 
     Same fixed-point scheme as the bisquare S-estimator, with weights
@@ -540,15 +546,15 @@ def rocke(data, alpha=0.1, rng=None, subsets=500):
     if n <= 2 * p:
         raise ValueError("need n > 2p")
     rng = rng if rng is not None else RngStream(0)
-    gamma = rocke_gamma(p, alpha)
-    start = mve(x, subsets=subsets, rng=rng.child(1))
+    gamma = rocke_gamma(p)
+    start = mve(x, rng=rng.child(1))
     shape = _unit_det(start.scatter)
     if shape is None:
         raise ValueError("degenerate MVE start")
     res = _s_iterations(x, start.location, shape,
                         lambda t: rho_rocke(t, gamma),
                         lambda t: weight_rocke(t, gamma),
-                        _rocke_scale_constant(p, alpha), "ROCKE")
+                        _rocke_scale_constant(p), "ROCKE")
     res.extras["gamma"] = gamma
     return res
 
@@ -594,7 +600,7 @@ def _mm_refine(x, mu, shape, sigma0):
     return mu, shape, obj, it + 1, converged, obj_trace
 
 
-def mm(data, rng=None, subsets=500):
+def mm(data, rng=None):
     """MM-estimator: S-bisquare start, then SHR shape refinement.
 
     The smoothed-hard-rejection rho is applied to squared distances divided
@@ -609,7 +615,7 @@ def mm(data, rng=None, subsets=500):
     if n <= 2 * p:
         raise ValueError("need n > 2p")
     rng = rng if rng is not None else RngStream(0)
-    s_res = s_bisquare(x, rng=rng.child(1), subsets=subsets)
+    s_res = s_bisquare(x, rng=rng.child(1))
     sign, logdet = np.linalg.slogdet(s_res.scatter)
     if sign <= 0.0 or not np.isfinite(logdet):
         raise ValueError("degenerate S-start scale")
@@ -677,7 +683,7 @@ def stahel_donoho(data, dirs=None, rng=None):
 # 8. Deepest estimator
 # ---------------------------------------------------------------------------
 
-def mdepth_estimator(data, cfg=None, rng=None):
+def mdepth_estimator(data, rng=None):
     """Deepest location (halfspace) and deepest scatter around it.
 
     The raw deepest scatter targets the squared normal third quartile times
@@ -688,9 +694,7 @@ def mdepth_estimator(data, cfg=None, rng=None):
     n, p = x.shape
     if n < p + 1:
         raise ValueError("need n >= p + 1")
-    if cfg is None:
-        rng = rng if rng is not None else RngStream(0)
-        cfg = SearchConfig(rng=rng)
+    cfg = SearchConfig(rng=rng if rng is not None else RngStream(0))
     theta = tukey_median(x, cfg)
     gamma, info = deepest_scatter(x, theta, cfg, return_info=True)
     cov = gamma.entries / _BETA

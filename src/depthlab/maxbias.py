@@ -178,24 +178,22 @@ def exploding_aligned_family(r, p=2):
     return gamma, e
 
 
-def pointmass_depth_limit(epsilon, radii=(10.0, 100.0, 1000.0, 10000.0)):
+def pointmass_depth_limit(epsilon):
     """Depth limit of an exploding scatter sequence under matched point mass.
 
     Evaluates the analytic point-mass depth of the scalar family
-    ``gamma_r = r^2`` with contamination at ``r`` along ``radii`` and returns
-    the final value.  The sequence converges to the contamination level
-    ``epsilon`` (i.e. ``min(epsilon, 1 - epsilon)`` for eps <= 1/2): once the
+    ``gamma_r = r^2`` with contamination at ``r``, far out at r = 1e4.  The
+    sequence converges to the contamination level ``epsilon`` (i.e.
+    ``min(epsilon, 1 - epsilon)`` for eps <= 1/2): once the
     estimator's spread matches the contamination radius, the point mass is
     the only support of the tail side and the Gaussian contribution
     vanishes.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    vals = []
-    for r in radii:
-        gamma, e = exploding_aligned_family(float(r), p=1)
-        vals.append(scatter_depth_pointmass(gamma, epsilon, float(r), e))
-    return vals[-1]
+    r = 10000.0
+    gamma, e = exploding_aligned_family(r, p=1)
+    return scatter_depth_pointmass(gamma, epsilon, r, e)
 
 
 def deepest_restricted_radius(epsilon):

@@ -71,26 +71,19 @@ def std_normal_quantile(q):
     return out
 
 
-def sym_eigen(m, check=True):
+def sym_eigen(m):
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the corresponding columns.
-
-    Parameters
-    ----------
-    m : (p, p) array_like
-        Symmetric matrix.
-    check : bool
-        Reject input whose asymmetry exceeds a small relative tolerance.
+    descending order and eigenvectors as the corresponding columns.  Input
+    whose asymmetry exceeds a small relative tolerance is rejected.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if check:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
-            raise ValueError("matrix is not symmetric")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
+        raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
@@ -171,13 +164,14 @@ def mahalanobis_sq(x, mu, sigma):
     return float(d[0]) if single else d
 
 
-def m_scale(d, rho, delta, rtol=1e-12, max_iter=200):
+def m_scale(d, rho, delta):
     """Solve ``mean(rho(d_i / s)) = delta`` for the scale ``s > 0``.
 
     ``rho`` must be nondecreasing with ``rho(0) = 0`` and ``sup rho = 1``;
     ``d`` holds nonnegative residual magnitudes (S-estimators of scatter
     pass squared Mahalanobis distances).  Solved by monotone bracketing and
-    bisection; the mean-rho residual of the result is below 1e-10.
+    bisection (at most 200 halvings, to a relative bracket width of 1e-12);
+    the mean-rho residual of the result is below 1e-10.
 
     Raises ``ValueError`` when no root exists, i.e. the fraction of zero
     residuals is at least ``1 - delta``.
@@ -213,13 +207,13 @@ def m_scale(d, rho, delta, rtol=1e-12, max_iter=200):
         s_hi *= 2.0
     if not (f(s_lo) > 0.0 > f(s_hi)):
         raise ValueError("m_scale failed to bracket a root")
-    for _ in range(max_iter):
+    for _ in range(200):
         s_mid = 0.5 * (s_lo + s_hi)
         if f(s_mid) > 0.0:
             s_lo = s_mid
         else:
             s_hi = s_mid
-        if (s_hi - s_lo) <= rtol * s_hi:
+        if (s_hi - s_lo) <= 1e-12 * s_hi:
             break
     return 0.5 * (s_lo + s_hi)
 

@@ -191,6 +191,8 @@ def run_grid(cells, estimator_ids=None, replicates=50, csv_path=None,
     are kept and skipped.  A numerical failure of an estimator
     (``ValueError``, ``ArithmeticError``, ``LinAlgError``) becomes a flagged
     row; any other exception is a programming error and aborts the grid.
+    With ``threads > 1`` the replicates of each cell are spread over one
+    process pool that serves the whole grid.
     """
     estimator_ids = list(estimator_ids or ESTIMATOR_IDS)
     if replicates < 1:
@@ -211,17 +213,15 @@ def run_grid(cells, estimator_ids=None, replicates=50, csv_path=None,
         if new_file:
             writer.writerow(RECORD_HEADER)
 
+    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    run = map if pool is None else pool.map
     try:
         for spec in cells:
             todo = [r for r in range(replicates)
                     if any((eid, spec.p, spec.n, _eps_key(spec.epsilon),
                             spec.k, r) not in done for eid in estimator_ids)]
             tasks = [(spec, tuple(estimator_ids), r) for r in todo]
-            if threads > 1 and len(tasks) > 1:
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    batches = list(pool.map(_one_replicate, tasks))
-            else:
-                batches = [_one_replicate(t) for t in tasks]
+            batches = list(run(_one_replicate, tasks))
             new_recs = [rec for batch in batches for rec in batch
                         if (rec.estimator, rec.p, rec.n,
                             _eps_key(rec.epsilon), rec.k,
@@ -236,6 +236,8 @@ def run_grid(cells, estimator_ids=None, replicates=50, csv_path=None,
             if progress is not None:
                 progress(spec)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if fh is not None:
             fh.close()
     return records
@@ -341,11 +343,11 @@ def write_aggregate_csv(rows, fh):
                          _fmt(r.b_hat_log), _fmt(r.bcn_hat_log), r.failures])
 
 
-def efficiency(records, estimator_id, measure_kind="cn"):
+def efficiency(records, estimator_id):
     """Clean-model efficiency versus the sample covariance.
 
     The mean absolute (log-scale) error of an estimator is the worst-k mean
-    over replicates of log(CN) (or log(b)); the efficiency is the ratio of
+    over replicates of log(CN); the efficiency is the ratio of
     the sample covariance's MAE to the estimator's.  Pass records simulated
     at epsilon = 0.
     """
@@ -357,9 +359,8 @@ def efficiency(records, estimator_id, measure_kind="cn"):
         for rec in records:
             if rec.estimator != eid or rec.flag:
                 continue
-            val = rec.cn if measure_kind == "cn" else rec.b
-            if np.isfinite(val) and val > 0:
-                by_k.setdefault(rec.k, []).append(np.log(val))
+            if np.isfinite(rec.cn) and rec.cn > 0:
+                by_k.setdefault(rec.k, []).append(np.log(rec.cn))
         if not by_k:
             raise ValueError(f"no clean-model records for {eid}")
         return max(float(np.mean(v)) for v in by_k.values())

@@ -1,4 +1,5 @@
 import csv
+import pathlib
 import xml.dom.minidom
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from depthlab.cli import config_cells, load_config, main, parse_config_text
 from depthlab.simlab import read_records_csv
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(args, capsys):
@@ -127,10 +130,16 @@ class TestConfig:
         monkeypatch.setenv("DEPTHLAB_SEED", "777")
         assert load_config()["seed"] == 777
 
-    def test_large_tier_opt_in(self):
-        cfg = load_config(overrides={"include_large_tier": True, "p": [2]})
-        cells = config_cells(cfg)
-        assert (2, 1000) in {(c.p, c.n) for c in cells}
+    def test_shipped_configs_load(self, monkeypatch):
+        monkeypatch.delenv("DEPTHLAB_SEED", raising=False)
+        counts = {}
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            cells = config_cells(load_config(str(path)))
+            counts[path.stem] = len(cells)
+            if path.stem == "large_tier":
+                assert (2, 1000) in {(c.p, c.n) for c in cells}
+        assert counts == {"desk": 56, "efficiency_p2_n50": 1,
+                          "large_tier": 168, "table_p2_n20": 14}
 
 
 class TestSimulateReport:

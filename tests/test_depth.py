@@ -110,10 +110,8 @@ class TestTukeyDepth:
         x = gen.standard_normal((40, 2))
         theta = np.array([0.3, 0.0])
         exact = tukey_depth(theta, x)
-        small = tukey_depth(theta, x, dirs=unit_directions(20, 2, RngStream(1)),
-                            exact=False)
-        large = tukey_depth(theta, x, dirs=unit_directions(400, 2, RngStream(1)),
-                            exact=False)
+        small = tukey_depth(theta, x, dirs=unit_directions(20, 2, RngStream(1)))
+        large = tukey_depth(theta, x, dirs=unit_directions(400, 2, RngStream(1)))
         assert small >= large >= exact - 1e-12
 
     def test_sampled_counts_match_loop_with_ties(self):
@@ -149,18 +147,18 @@ class TestBuildDirections:
         x = gen.standard_normal((30, 3))
         center = np.array([0.5, -0.5, 1.0])
         x[[4, 9]] = center                        # rows at the center drop out
-        u = build_directions(x, center=center, rng=RngStream(3), per_dim=7)
-        assert u.shape == (7 * 3 + 28, 3)
+        u = build_directions(x, center=center, rng=RngStream(3))
+        assert u.shape == (500 * 3 + 28, 3)
         assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(u[:21], unit_directions(21, 3, RngStream(3)))
+        assert np.array_equal(u[:1500], unit_directions(1500, 3, RngStream(3)))
         z = np.delete(x, [4, 9], axis=0) - center
-        assert np.allclose(u[21:], z / np.linalg.norm(z, axis=1)[:, None])
+        assert np.allclose(u[1500:], z / np.linalg.norm(z, axis=1)[:, None])
 
     def test_data_directions_capped_at_500(self):
         x = np.random.default_rng(7).standard_normal((700, 2))
-        u = build_directions(x, rng=RngStream(3), per_dim=5)
-        assert u.shape == (5 * 2 + 500, 2)
-        assert np.allclose(u[10], x[0] / np.linalg.norm(x[0]))
+        u = build_directions(x, rng=RngStream(3))
+        assert u.shape == (500 * 2 + 500, 2)
+        assert np.allclose(u[1000], x[0] / np.linalg.norm(x[0]))
         assert np.allclose(u[-1], x[-1] / np.linalg.norm(x[-1]))
 
     def test_deterministic_per_stream(self):
@@ -329,7 +327,7 @@ class TestMvregDepth:
         dirs = unit_directions(300, 2, RngStream(11))
         u = dirs[:, :, None]
         d_mv = mvreg_depth(beta[:, None], x, y[:, None], u)
-        d_reg = regression_depth(beta, x, y, dirs=dirs, exact=False)
+        d_reg = regression_depth(beta, x, y, dirs=dirs)
         assert d_mv == pytest.approx(d_reg, abs=1e-12)
 
     def test_perfect_fit(self):

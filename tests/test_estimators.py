@@ -3,13 +3,18 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 from depthlab.estimators import (
     ESTIMATOR_IDS,
+    _bisquare_scale_constant,
+    _rocke_scale_constant,
     mcd,
     mdepth_estimator,
     mm,
     mve,
+    rho_bisquare,
     rho_rocke,
     rho_shr,
     rocke,
@@ -29,6 +34,25 @@ from depthlab.numerics import RngStream, _mahal_sq
 def bias_b(result):
     vals = np.linalg.eigvalsh(result.scatter)
     return max(vals[-1], 1.0 / vals[0])
+
+
+def quad_mean_rho(rho, p, s, lo, hi):
+    """E rho(chi2_p / s) for rho = 0 below the band (lo, hi] and 1 above it,
+    by tight adaptive quadrature over the band."""
+    band, _ = quad(lambda d: float(rho(d / s)) * stats.chi2.pdf(d, p),
+                   s * lo, s * hi, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return band + stats.chi2.sf(s * hi, p)
+
+
+class TestConsistencyConstants:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 15])
+    def test_constants_solve_half(self, p):
+        s = _bisquare_scale_constant(p)
+        assert abs(quad_mean_rho(rho_bisquare, p, s, 0.0, 1.0) - 0.5) <= 1e-12
+        g = rocke_gamma(p)
+        s = _rocke_scale_constant(p)
+        assert abs(quad_mean_rho(lambda t: rho_rocke(t, g), p, s,
+                                 1.0 - g, 1.0 + g) - 0.5) <= 1e-12
 
 
 class TestScov:
@@ -65,7 +89,7 @@ class TestMve:
         for seed in range(4):
             gen = np.random.default_rng(100 + seed)
             x = gen.standard_normal((2000, 2)) @ a.T
-            res = mve(x, subsets=500, rng=RngStream(seed))
+            res = mve(x, rng=RngStream(seed))
             vol_ratio = (np.linalg.det(res.scatter) / np.linalg.det(a @ a.T)) ** 0.5
             assert 0.9 <= vol_ratio <= 1.1
             shape = res.scatter / np.linalg.det(res.scatter) ** 0.5
@@ -146,7 +170,7 @@ class TestSBisquare:
 class TestRocke:
     def test_gamma_formula(self):
         # chi2_{10, 0.9} = 15.9872 from standard tables.
-        assert rocke_gamma(10, 0.1) == pytest.approx(15.9872 / 10 - 1, abs=5e-4)
+        assert rocke_gamma(10) == pytest.approx(15.9872 / 10 - 1, abs=5e-4)
 
     def test_weight_support(self):
         gamma = 0.6
