@@ -13,7 +13,8 @@ keep their combinatorial structure in floating point.
 
 The analytic depths (`scatter_depth_gaussian`, `scatter_depth_pointmass`)
 evaluate a candidate scatter matrix against the standard Gaussian model,
-optionally contaminated by a point mass at ``r * e``.
+optionally contaminated by a point mass at ``r * e``; both are exact, the
+point-mass depth for every direction ``e``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-12
+_QUADRIC_RTOL = 1e-10         # point-mass depth: on the quadric v'Av = 0
+_INVPHI = (5 ** 0.5 - 1) / 2
+_GOLDEN_STEPS = 100
 _DIRECTIONS_PER_DIM = 500     # sampled directions per dimension in a pool
 
 
@@ -255,133 +259,54 @@ def _g_of_quad(q):
     return 2.0 * std_normal_cdf(np.sqrt(np.maximum(q, 0.0))) - 1.0
 
 
-def _pointmass_depth_aligned(lam, eps, r, p):
-    """Analytic point-mass depth when the contamination direction is the top
-    eigenvector.  ``lam`` holds the descending eigenvalues."""
-    l1 = lam[0]
-    lp = lam[-1]
-    g1 = _g_of_quad(l1)
-    gp = _g_of_quad(lp)
-    r2 = r * r
-    gap = r2 - l1
-    if abs(gap) <= 1e-10 * max(l1, r2):
-        # The top eigenvector lies exactly on the boundary quadric: the point
-        # mass supports both sides there.
-        terms = [(1 - eps) * g1 + eps, (1 - eps) * (1 - g1) + eps]
-        if p >= 2:
-            terms += [(1 - eps) * gp + eps, (1 - eps) * (1 - g1)]
-        return min(terms)
-    if gap < 0.0:
-        # Point mass inside the claimed spread along every direction.
-        if p == 1:
-            return min((1 - eps) * g1 + eps, (1 - eps) * (1 - g1))
-        return min((1 - eps) * gp + eps, (1 - eps) * (1 - g1))
-    # r^2 > l1.
-    if p == 1:
-        return min((1 - eps) * g1, (1 - eps) * (1 - g1) + eps)
-    l2 = lam[1]
-    c_min = r2 * lp / (r2 + lp - l1)
-    c_max = r2 * l2 / (r2 + l2 - l1)
-    g_min = _g_of_quad(c_min)
-    g_max = _g_of_quad(c_max)
-    return min((1 - eps) * (1 - g1) + eps,
-               (1 - eps) * gp + eps,
-               (1 - eps) * g_min,
-               (1 - eps) * (1 - g_max))
+def _dual_min(q, c):
+    """min v'Qv over unit vectors v with v'Cv >= 0 (C must be positive
+    somewhere on the sphere).
 
-
-def _slerp(a, b, t):
-    v = (1.0 - t) * a + t * b
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-300:
-        return a
-    return v / nrm
-
-
-def _pointmass_depth_search(gamma, eps, r, e):
-    """Numeric infimum of the point-mass depth for a general direction ``e``.
-
-    Critical points lie at eigenvectors or on the boundary quadric
-    {v' G v = r^2 (v'e)^2}; the search samples the sphere, takes one-sided
-    limits onto the quadric along great-circle bisection, and polishes with
-    random restarts: 8000 sphere samples, then a local search from each of
-    the 60 shallowest.
+    Computed as the S-lemma dual: max over nu >= 0 of lambda_min(Q - nu C)
+    (Polik & Terlaky, SIAM Review 2007).  It equals the minimum for every
+    p >= 2: the joint range of (v'Qv, v'Cv) is convex for p >= 3 (Brickman),
+    and at p = 2 a linear objective over its hull, cut by a half-plane, is
+    still minimized at points of the range.  The dual is concave in nu: its
+    bracket [0, b] doubles until it stops rising, then a golden-section
+    search closes it.  Each evaluation is a lower bound on the minimum.
     """
-    G = gamma.entries
-    p = gamma.dim
-    rng = RngStream(1234)
-    pool = [unit_directions(8000, p, rng),
-            gamma.eigenvectors.T, -gamma.eigenvectors.T,
-            e[None, :], -e[None, :]]
-    v = np.vstack(pool)
+    c = c * (np.abs(q).max() / np.abs(c).max())      # nu on the scale of Q
 
-    def values(vv):
-        q = np.einsum("ij,jk,ik->i", vv, G, vv)
-        pe = (vv @ e) ** 2 * r * r
-        g = _g_of_quad(q)
-        s = q - pe
-        scale = np.maximum(1.0, np.maximum(q, pe))
-        on_f = np.abs(s) <= 1e-12 * scale
-        in_b = (s < 0) & ~on_f
-        b1 = (1 - eps) * g + eps * (~in_b)          # point mass in <= branch iff q >= pe
-        b2 = (1 - eps) * (1 - g) + eps * ((s <= 0) | on_f)
-        return np.minimum(b1, b2), s, g
+    def h(nu):
+        return np.linalg.eigvalsh(q - nu * c)[0]
 
-    m, s, g = values(v)
-    best = float(m.min())
-
-    # One-sided limits onto the quadric: bisect arcs between B- and A-side
-    # samples; approaching from B the <=-branch drops the point mass, and
-    # approaching from A the >=-branch does.
-    b_idx = np.where(s < 0)[0]
-    a_idx = np.where(s > 0)[0]
-    gen = rng.child(7).generator()
-    if b_idx.size and a_idx.size:
-        pairs = min(200, b_idx.size * a_idx.size)
-        bi = gen.choice(b_idx, size=pairs)
-        ai = gen.choice(a_idx, size=pairs)
-        for i, j in zip(bi, ai):
-            lo, hi = v[i], v[j]
-            for _ in range(60):
-                mid = _slerp(lo, hi, 0.5)
-                sm = mid @ G @ mid - r * r * (mid @ e) ** 2
-                if sm < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            vf = _slerp(lo, hi, 0.5)
-            gf = _g_of_quad(vf @ G @ vf)
-            best = min(best,
-                       (1 - eps) * gf,              # limit from inside B
-                       (1 - eps) * (1 - gf))        # limit from inside A
-    # Local polish around the incumbent.
-    order = np.argsort(m)[:60]
-    for k in order:
-        cur = v[k]
-        val = m[k]
-        step = 0.3
-        for _ in range(80):
-            cand = cur[None, :] + step * gen.standard_normal((16, p))
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
-            mv, _, _ = values(cand)
-            j = int(np.argmin(mv))
-            if mv[j] < val:
-                val = float(mv[j])
-                cur = cand[j]
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
-        best = min(best, val)
-    return best
+    b, hb = 1.0, h(1.0)
+    while (hb2 := h(2.0 * b)) > hb:
+        b, hb = 2.0 * b, hb2
+    lo, hi = 0.0, 2.0 * b
+    x1, x2 = hi - _INVPHI * hi, _INVPHI * hi
+    h1, h2 = h(x1), h(x2)
+    for _ in range(_GOLDEN_STEPS):
+        if h1 < h2:
+            lo, x1, h1 = x1, x2, h2
+            x2 = lo + _INVPHI * (hi - lo)
+            h2 = h(x2)
+        else:
+            hi, x2, h2 = x2, x1, h1
+            x1 = hi - _INVPHI * (hi - lo)
+            h1 = h(x1)
+    return max(h1, h2)
 
 
 def scatter_depth_pointmass(gamma, epsilon, r, e):
-    """Depth of ``gamma`` under (1-eps) N(0, I) + eps * delta_{r e}.
+    """Depth of ``gamma`` under (1-eps) N(0, I) + eps * delta_{r e}, exact
+    for every direction ``e``.
 
-    Exact closed form when ``e`` coincides with the top eigenvector of
-    ``gamma`` (up to sign); otherwise a constrained search over the sphere,
-    whose critical points are eigenvectors or points of the boundary quadric.
+    With A = G - r^2 ee' the sphere splits into the side {v'Av >= 0}, where
+    the point mass falls inside the claimed spread v'Gv, and the side
+    {v'Av < 0}, where it falls outside.  On each side the depth is monotone
+    in q = v'Gv, so the infimum needs only the extremes of q on the two
+    sides, each one S-lemma dual (:func:`_dual_min`); the duals bound the
+    extremes from outside, so rounding aside the result is never above the
+    depth.  The second side counts only when it has interior, lambda_min(A)
+    below -1e-10 max(l1, r^2); the same tolerance puts the single direction
+    of p = 1 on the quadric.
     """
     gamma = _as_spd(gamma)
     e = np.asarray(e, dtype=float)
@@ -396,11 +321,21 @@ def scatter_depth_pointmass(gamma, epsilon, r, e):
         raise ValueError("epsilon must lie in [0, 1)")
     if epsilon == 0.0:
         return scatter_depth_gaussian(gamma)
-    v1 = gamma.eigenvectors[:, 0]
-    if abs(abs(float(v1 @ e)) - 1.0) <= 1e-9:
-        return float(_pointmass_depth_aligned(gamma.eigenvalues, epsilon, r,
-                                              gamma.dim))
-    return float(_pointmass_depth_search(gamma, epsilon, r, e))
+    eps = epsilon
+    gm = gamma.entries
+    a = gm - r * r * np.outer(e, e)
+    tol = _QUADRIC_RTOL * max(gamma.eigenvalues[0], r * r)
+    if gamma.dim == 1:
+        # One direction: the point mass is inside, outside or on the boundary.
+        g1 = _g_of_quad(gm[0, 0])
+        return float(min((1 - eps) * g1 + eps * (a[0, 0] >= -tol),
+                         (1 - eps) * (1 - g1) + eps * (a[0, 0] <= tol)))
+    terms = [(1 - eps) * (1 - _g_of_quad(-_dual_min(-gm, a))),
+             (1 - eps) * _g_of_quad(_dual_min(gm, a)) + eps]
+    if np.linalg.eigvalsh(a)[0] < -tol:
+        terms += [(1 - eps) * _g_of_quad(_dual_min(gm, -a)),
+                  (1 - eps) * (1 - _g_of_quad(-_dual_min(-gm, -a))) + eps]
+    return float(min(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ the one the benchmark compares (Maronna & Yohai, CSDA 2017):
   (Rocke, Ann. Statist. 1996), started from MVE; MM starts from bisquare S;
 * two hard-rejection reweighting passes at 97.5 percent chi-square coverage
   after MVE and MCD;
-* 200 iterations at 1e-9 tolerance for the iterative estimators, 1000 p
+* 500 iterations at 1e-9 tolerance for the iterative estimators, 1000 p
   directions plus pair differences for Stahel-Donoho.
 """
 
@@ -64,7 +64,7 @@ __all__ = [
 _SQRT_BETA = 0.6744897501960817      # Phi^{-1}(3/4)
 _BETA = _SQRT_BETA * _SQRT_BETA
 
-_MAX_ITER = 200
+_MAX_ITER = 500
 _ITER_TOL = 1e-9
 
 _SUBSETS = 500                # elemental starts of MVE and MCD

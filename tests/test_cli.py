@@ -50,6 +50,18 @@ class TestDepthCommand:
         assert code == 0
         assert out.strip() == "0.500000"
 
+    @pytest.mark.parametrize("gamma, e, eps, r, printed", [
+        ("1.8,0.4", "0.6,0.8", "0.1", "1.7", "0.161741"),
+        ("2,1,0.5", "0.6666666666666666,0.6666666666666666,"
+                    "0.3333333333333333", "0.2", "1.2", "0.125839"),
+    ])
+    def test_pointmass_off_eigenvectors(self, gamma, e, eps, r, printed,
+                                        capsys):
+        code, out, _ = run_cli(["depth", "pointmass", "--gamma", gamma,
+                                "--e", e, "--epsilon", eps, "--r", r], capsys)
+        assert code == 0
+        assert out.strip() == printed
+
     def test_regression(self, tmp_path, capsys):
         f = tmp_path / "reg.csv"
         f.write_text("1,1\n1,-1\n1,0\n")

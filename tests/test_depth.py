@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from depthlab.depth import (
     _ProjectionDepth,
@@ -211,15 +212,28 @@ class TestScatterDepthGaussian:
         assert d == pytest.approx(0.31731050786291415, abs=1e-12)
 
 
+def pointmass_depth_over(u, gamma, eps, r, e):
+    """Minimum of the point-mass depth over the unit directions ``u``."""
+    best = 1.0
+    for uu in np.array_split(u, max(1, len(u) // 250000)):
+        q = np.einsum("ij,jk,ik->i", uu, gamma.entries, uu)
+        pe = (uu @ e) ** 2 * r * r
+        g = 2 * ndtr(np.sqrt(q)) - 1
+        b1 = (1 - eps) * g + eps * (pe <= q)
+        b2 = (1 - eps) * (1 - g) + eps * (pe >= q)
+        best = min(best, float(np.minimum(b1, b2).min()))
+    return best
+
+
 def pointmass_depth_bruteforce(gamma, eps, r, e, n_grid=200000):
     ang = np.linspace(0, np.pi, n_grid, endpoint=False)
     u = np.stack([np.cos(ang), np.sin(ang)], 1)
-    q = np.einsum("ij,jk,ik->i", u, gamma.entries, u)
-    pe = (u @ e) ** 2 * r * r
-    g = 2 * std_normal_cdf(np.sqrt(q)) - 1
-    b1 = (1 - eps) * g + eps * (pe <= q)
-    b2 = (1 - eps) * (1 - g) + eps * (pe >= q)
-    return float(np.minimum(b1, b2).min())
+    return pointmass_depth_over(u, gamma, eps, r, e)
+
+
+def random_rotation(gen, p):
+    q, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    return q
 
 
 class TestScatterDepthPointmass:
@@ -292,6 +306,70 @@ class TestScatterDepthPointmass:
                 gamma, e = exploding_aligned_family(r, p=2)
                 vals.append(scatter_depth_pointmass(gamma, eps, r, e))
             assert vals[-1] == pytest.approx(eps, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("rel_gap",
+                             [-0.6, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1.8])
+    def test_aligned_equals_closed_form(self, p, rel_gap):
+        # e is the top eigenvector; r^2 = l1 (1 + rel_gap), exactly l1 when
+        # rel_gap = 0.  Gaps within 1e-10 count as on the quadric.
+        gen = np.random.default_rng(40 + p)
+        lam = [0.25, 0.16, 0.09][:p]
+        rot = random_rotation(gen, p)
+        gamma = SpdMatrix.from_matrix(rot @ np.diag(lam) @ rot.T)
+        e = -rot[:, 0]
+        r = 0.5 * math.sqrt(1.0 + rel_gap)
+        eps = 0.15
+        l1, l2, lp = lam[0], lam[min(1, p - 1)], lam[-1]
+        r2 = r * r
+
+        def g(q):
+            return 2 * std_normal_cdf(math.sqrt(q)) - 1
+
+        g1, gp = g(l1), g(lp)
+        if p == 1:
+            inside, outside = rel_gap <= 1e-10, rel_gap >= -1e-10
+            expected = min((1 - eps) * g1 + eps * inside,
+                           (1 - eps) * (1 - g1) + eps * outside)
+        elif rel_gap <= 1e-10:
+            expected = min((1 - eps) * gp + eps, (1 - eps) * (1 - g1))
+        else:
+            c_min = r2 * lp / (r2 + lp - l1)
+            c_max = r2 * l2 / (r2 + l2 - l1)
+            expected = min((1 - eps) * (1 - g1) + eps, (1 - eps) * gp + eps,
+                           (1 - eps) * g(c_min), (1 - eps) * (1 - g(c_max)))
+        assert scatter_depth_pointmass(gamma, eps, r, e) == pytest.approx(
+            expected, abs=1e-14)
+
+    def test_general_direction_p2_dense_grid(self):
+        gen = np.random.default_rng(12)
+        ang = np.linspace(0, np.pi, 2_000_000, endpoint=False)
+        u = np.stack([np.cos(ang), np.sin(ang)], 1)
+        for _ in range(6):
+            rot = random_rotation(gen, 2)
+            lam = np.sort(gen.uniform(0.05, 4.0, 2))[::-1]
+            gamma = SpdMatrix.from_matrix(rot @ np.diag(lam) @ rot.T)
+            th = gen.uniform(0, 2 * np.pi)
+            e = np.array([math.cos(th), math.sin(th)])
+            eps, r = gen.uniform(0.02, 0.45), gen.uniform(0.2, 4.0)
+            d = scatter_depth_pointmass(gamma, eps, r, e)
+            grid = pointmass_depth_over(u, gamma, eps, r, e)
+            assert grid - 1e-4 <= d <= grid + 1e-12
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_general_direction_below_sampled_directions(self, p):
+        gen = np.random.default_rng(30 + p)
+        u = gen.standard_normal((100_000, p))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        for _ in range(4):
+            rot = random_rotation(gen, p)
+            lam = np.sort(gen.uniform(0.05, 4.0, p))[::-1]
+            gamma = SpdMatrix.from_matrix(rot @ np.diag(lam) @ rot.T)
+            e = gen.standard_normal(p)
+            e /= np.linalg.norm(e)
+            eps, r = gen.uniform(0.02, 0.45), gen.uniform(0.2, 4.0)
+            d = scatter_depth_pointmass(gamma, eps, r, e)
+            assert d <= pointmass_depth_over(u, gamma, eps, r, e) + 1e-12
 
     def test_rejects_bad_arguments(self):
         gamma = SpdMatrix.from_diagonal([1.0, 1.0])

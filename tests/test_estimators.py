@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from depthlab.estimators import (
 )
 from depthlab.maxbias import BETA, scatter_eigen_bounds
 from depthlab.numerics import RngStream, _mahal_sq
+from depthlab.simlab import (ContaminationSpec, _estimator_stream_key,
+                             _one_replicate, gen_contaminated, replicate_seed)
 
 
 def bias_b(result):
@@ -196,6 +199,20 @@ class TestRocke:
             bias_r.append(bias_b(rocke(x, rng=RngStream(21 + rep))))
             bias_s.append(bias_b(s_bisquare(x, rng=RngStream(21 + rep))))
         assert np.median(bias_r) < np.median(bias_s)
+
+    def test_slow_fit_converges_before_cap(self):
+        # Replicate 0 of the cell eps = 0.1, k = 1 at seed 3000 (p = 2,
+        # n = 20): the M-scale falls monotonically but contracts by only
+        # about 0.94 per step, so the fit needs 216 iterations.
+        spec = ContaminationSpec(p=2, n=20, epsilon=0.1, k=1, seed=3000)
+        (rec,) = _one_replicate((spec, ["ROCKE"], 0))
+        rspec = replace(spec, seed=replicate_seed(spec, 0))
+        res = run_estimator("ROCKE", gen_contaminated(rspec),
+                            RngStream(rspec.seed).child(
+                                _estimator_stream_key("ROCKE")))
+        assert res.converged and res.iterations > 200
+        assert np.all(np.diff(res.extras["scale_trace"]) <= 0.0)
+        assert not rec.flag
 
 
 class TestMm:
