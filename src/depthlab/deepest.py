@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ProjectionDepth,
-                    as_dataset, build_directions, ls_depth2, regression_depth,
-                    tukey_depth)
+                    _two_sided_counts, as_dataset, build_directions, ls_depth2,
+                    regression_depth, tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -181,10 +181,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
 
     def eval_depth(g):
         t = np.einsum("kj,jl,kl->k", u, g, u)
-        tol = 1e-12 * np.maximum(1.0, t)
-        below = np.sum(proj_sq <= t[None, :] + tol[None, :], axis=0)
-        above = np.sum(proj_sq >= t[None, :] - tol[None, :], axis=0)
-        per_dir = np.minimum(below, above) / n
+        per_dir = _two_sided_counts(proj_sq, t, 1e-12 * np.maximum(1.0, t)) / n
         order = np.argsort(per_dir)
         # Lexicographic score: overall depth first, then the mean over the
         # worst directions, then the grand mean, so repairing some of many

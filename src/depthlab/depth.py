@@ -158,11 +158,24 @@ def _tukey_exact_2d(theta, x):
     return float(counts.min()) / n
 
 
+def _two_sided_counts(vals, t, tol):
+    """Per column k of ``vals``: min(#{v <= t_k + tol_k}, #{v >= t_k - tol_k}).
+
+    Values within the tolerance of the threshold count on both sides; each
+    caller passes its own tolerance (scalar or per column).
+    """
+    below = np.sum(vals <= t + tol, axis=0)
+    above = np.sum(vals >= t - tol, axis=0)
+    return np.minimum(below, above)
+
+
 class _ProjectionDepth:
     """Sampled halfspace depth of many candidate points via sorted projections.
 
     Per direction, points within a tolerance of the boundary (scaled by the
-    largest projection) count on both sides.
+    largest projection) count on both sides, as in :func:`tukey_depth`; for
+    batches of candidates a binary search per column beats comparing every
+    candidate against every projection.
     """
 
     def __init__(self, x, dirs):
@@ -203,7 +216,10 @@ def tukey_depth(theta, data, dirs=None):
         return _tukey_exact_2d(theta, x)
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled halfspace depth needs a nonempty direction pool")
-    return float(_ProjectionDepth(x, dirs).depths(theta)[0])
+    u = np.asarray(dirs, dtype=float)
+    proj = x @ u.T
+    tol = _TIE_RTOL * np.maximum(1.0, np.abs(proj).max(axis=0))
+    return float(_two_sided_counts(proj, theta @ u.T, tol).min()) / x.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +252,7 @@ def scatter_depth(gamma, data, center=None, dirs=None):
     sq = proj * proj
     t = np.einsum("ij,jk,ik->i", u, gamma.entries, u)
     tol = _TIE_RTOL * np.maximum(1.0, np.maximum(sq.max(axis=0), t))
-    below = np.sum(sq <= t + tol, axis=0)
-    above = np.sum(sq >= t - tol, axis=0)
-    return float(np.minimum(below, above).min()) / n
+    return float(_two_sided_counts(sq, t, tol).min()) / n
 
 
 def scatter_depth_gaussian(gamma):
@@ -354,10 +368,6 @@ def _check_regression(x, y):
     return x, y
 
 
-def _sign_fraction(scores, tol):
-    return np.sum(scores >= -tol, axis=0)
-
-
 def regression_depth(beta, x, y, dirs=None):
     """Univariate-response regression depth of the fit ``beta``.
 
@@ -388,8 +398,7 @@ def regression_depth(beta, x, y, dirs=None):
         tol = _TIE_RTOL * norms[:, None]
         xu = np.where(np.abs(xu) <= tol, 0.0, xu)
         scores = xu * resid[:, None]
-        counts = _sign_fraction(scores, 0.0)
-        return float(counts.min()) / n
+        return float(np.sum(scores >= 0.0, axis=0).min()) / n
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled regression depth needs a direction pool")
     u = np.asarray(dirs, dtype=float)
@@ -397,9 +406,7 @@ def regression_depth(beta, x, y, dirs=None):
     tol = _TIE_RTOL * np.maximum(1.0, np.abs(xu).max(axis=0))
     xu = np.where(np.abs(xu) <= tol, 0.0, xu)
     scores = xu * resid[:, None]
-    counts = np.minimum(_sign_fraction(scores, 0.0),
-                        _sign_fraction(-scores, 0.0))
-    return float(counts.min()) / n
+    return float(_two_sided_counts(scores, 0.0, 0.0).min()) / n
 
 
 def default_mvreg_candidates(x, y, b, rng, per_cell=200):

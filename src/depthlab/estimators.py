@@ -36,6 +36,7 @@ from scipy import stats
 
 from .deepest import SearchConfig, deepest_scatter, tukey_median
 from .depth import as_dataset
+from .maxbias import BETA, SQRT_BETA
 from .numerics import (RngStream, _mahal_sq, _singular_spectrum, m_scale,
                        unit_directions)
 
@@ -60,9 +61,6 @@ __all__ = [
     "mdepth_estimator",
     "run_estimator",
 ]
-
-_SQRT_BETA = 0.6744897501960817      # Phi^{-1}(3/4)
-_BETA = _SQRT_BETA * _SQRT_BETA
 
 _MAX_ITER = 500
 _ITER_TOL = 1e-9
@@ -664,7 +662,7 @@ def stahel_donoho(data, dirs=None, rng=None):
 
     proj = x @ u.T                                     # (n, K)
     med = np.median(proj, axis=0)
-    mad = np.median(np.abs(proj - med), axis=0) / _SQRT_BETA
+    mad = np.median(np.abs(proj - med), axis=0) / SQRT_BETA
     ok = mad > 1e-12 * np.maximum(1.0, np.abs(med))
     if not np.any(ok):
         raise ValueError("every projection direction has zero scale")
@@ -697,10 +695,10 @@ def mdepth_estimator(data, rng=None):
     cfg = SearchConfig(rng=rng if rng is not None else RngStream(0))
     theta = tukey_median(x, cfg)
     gamma, info = deepest_scatter(x, theta, cfg, return_info=True)
-    cov = gamma.entries / _BETA
+    cov = gamma.entries / BETA
     return EstimatorResult("MDEPTH", theta, cov, iterations=len(info["trace"]),
                            converged=True, singular=_is_singular(cov),
-                           extras={"normalization": _BETA,
+                           extras={"normalization": BETA,
                                    "depth": info["depth"]})
 
 

@@ -10,8 +10,8 @@ epsilon-contamination neighborhood of the standard Gaussian model:
   ``max{ Phi^{-1}(a(eps))/sqrt(beta), sqrt(beta)/Phi^{-1}(b(eps)) }`` with
   ``a = (3-eps)/(4(1-eps))``, ``b = (3-5 eps)/(4(1-eps))`` and
   ``sqrt(beta) = Phi^{-1}(3/4)``, breakdown exactly 1/3;
-* deepest regression slope: the solution of
-  ``g(t) = (1+eps)/(2(1-eps))`` where ``g(t) = E Phi(t |Z|)``;
+* deepest regression slope: ``tan(pi eps / (1-eps))``, the root t of
+  ``E Phi(t |Z|) = 1/2 + arctan(t)/pi = (1+eps)/(2(1-eps))``, breakdown 1/3;
 * joint location-scale deepest fit: breakdown at the fixed point of a
   strictly decreasing gain function, which lands in (1/5, 1/4).
 
@@ -215,71 +215,26 @@ def deepest_restricted_radius(epsilon):
 # Regression
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
-
-
-def _gauss_legendre(f, a, b, panels):
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    z = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * f(z)))
-
-
 def g_function(t):
-    """E Phi(t |Z|) for standard normal Z, by adaptive Gauss-Legendre panels.
+    """E Phi(t |Z|) for standard normal Z: 1/2 + arctan(t)/pi (Sheppard 1899).
 
-    Monotone increasing from 1/2 at t = 0 toward 1; integrated over
-    z in [0, 12] (the dropped tail is below 1e-30) with panel doubling until
-    the result is stable to 1e-12.
+    It is P(W <= t |Z|) for independent standard normals W and Z, the share
+    pi + 2 arctan(t) of the plane's 2 pi taken by the cone {w <= t |z|}.
     """
     if t < 0.0 or not np.isfinite(t):
         raise ValueError("t must be a finite nonnegative real")
-    if t == 0.0:
-        return 0.5
-
-    def integrand(z):
-        return std_normal_cdf(t * z) * 2.0 * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    panels = 8
-    val = _gauss_legendre(integrand, 0.0, 12.0, panels)
-    for _ in range(4):
-        panels *= 2
-        nxt = _gauss_legendre(integrand, 0.0, 12.0, panels)
-        if abs(nxt - val) < 1e-12:
-            val = nxt
-            break
-        val = nxt
-    return min(val, 1.0)
+    return 0.5 + math.atan(t) / math.pi
 
 
 def regdepth_maxbias(epsilon):
-    """Maximum bias of the deepest regression slope: g(t) = (1+eps)/(2(1-eps)).
+    """Maximum bias of the deepest regression slope: tan(pi eps / (1 - eps)).
 
-    Solved by doubling bracket plus bisection to 1e-10; consistent with the
-    implicit form b/sqrt(1+b^2) = h^{-1}((1+eps)/(2(1-eps))) for the sign
-    agreement probability h of a correlated Gaussian pair.
+    Solves g(b) = (1+eps)/(2(1-eps)) for g of :func:`g_function`, so
+    arctan(b) = pi eps/(1-eps); that angle reaches pi/2, and b diverges,
+    exactly at the breakdown point eps = 1/3; near it b ~ 4/(9 pi (1/3 - eps)).
     """
     _check_eps("regression", epsilon, 1.0 / 3.0)
-    if epsilon == 0.0:
-        return 0.0
-    target = (1.0 + epsilon) / (2.0 * (1.0 - epsilon))
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if g_function(hi) > target:
-            break
-        hi *= 2.0
-        if hi > 1e8:
-            raise DivergenceError("regression", epsilon, 1.0 / 3.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g_function(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return math.tan(math.pi * epsilon / (1.0 - epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,14 @@ class TestMaxbiasCommand:
         assert len(lines) == 9  # header + 7 rows + breakdown footer
         assert lines[-1].startswith("# breakdown=")
 
+    def test_regression_grid_values(self, capsys):
+        code, out, _ = run_cli(["maxbias", "--curve", "regression",
+                                "--grid", "0:0.3:0.1"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:-1]]
+        assert [r[1] for r in rows] == ["0", "0.363970234266", "1",
+                                        "4.38128626753"]
+
     def test_breakdown_value(self, capsys):
         code, out, _ = run_cli(["maxbias", "--curve", "ls2-breakdown"], capsys)
         assert code == 0

@@ -61,6 +61,27 @@ def halfspace_depth_bruteforce(theta, x):
     return best / n
 
 
+# Integer directions: with integer data every projection is exact, so
+# boundary ties are true ties.
+INTEGER_DIRS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                         [1, -1, 2], [0, 2, -1], [3, 1, 1]], dtype=float)
+
+
+def dot(a, b):
+    return sum(ai * bi for ai, bi in zip(a, b))
+
+
+def loop_two_sided_depth(x, dirs, value, threshold):
+    """Plain-python oracle: min over directions u of
+    min(#{value(u, x_i) <= threshold(u)}, #{value(u, x_i) >= threshold(u)}) / n."""
+    best = len(x)
+    for u in dirs.tolist():
+        t = threshold(u)
+        vals = [value(u, row) for row in x.tolist()]
+        best = min(best, sum(v <= t for v in vals), sum(v >= t for v in vals))
+    return best / len(x)
+
+
 class TestTukeyDepth:
     def test_univariate_counts(self):
         assert tukey_depth_1d(2.0, [1.0, 2.0, 3.0]) == pytest.approx(2 / 3)
@@ -121,20 +142,13 @@ class TestTukeyDepth:
         # both sides.
         gen = np.random.default_rng(5)
         x = gen.integers(-3, 4, size=(25, 3)).astype(float)
-        dirs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
-                         [1, -1, 2], [0, 2, -1], [3, 1, 1]], dtype=float)
+        dirs = INTEGER_DIRS
         thetas = np.vstack([x, gen.integers(-3, 4, size=(15, 3)),
                             [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]]).astype(float)
 
         def loop_depth(theta):
-            best = len(x)
-            for u in dirs.tolist():
-                t = sum(a * b for a, b in zip(u, theta))
-                proj = [sum(a * b for a, b in zip(u, row)) for row in x.tolist()]
-                below = sum(v <= t for v in proj)
-                above = sum(v >= t for v in proj)
-                best = min(best, below, above)
-            return best / len(x)
+            return loop_two_sided_depth(x, dirs, lambda u, row: dot(u, row),
+                                        lambda u: dot(u, theta))
 
         expected = [loop_depth(t) for t in thetas.tolist()]
         assert _ProjectionDepth(x, dirs).depths(thetas).tolist() == expected
@@ -187,6 +201,33 @@ class TestScatterDepth:
         data = [[-2.0], [-1.0], [1.0], [2.0]]
         d = scatter_depth(np.array([[2.25]]), data, center=[0.0])
         assert d == pytest.approx(0.5)
+
+    def test_counts_match_loop_with_ties(self):
+        # Integer data, center, scatter and directions keep (u'(x-c))^2 and
+        # u'Gu exact, so observations on the boundary are true ties and must
+        # count on both sides.
+        gen = np.random.default_rng(8)
+        x = gen.integers(-3, 4, size=(25, 3)).astype(float)
+        gammas = [np.diag([1.0, 4.0, 9.0]),
+                  np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]),
+                  np.array([[5.0, 2.0, 1.0], [2.0, 5.0, 0.0], [1.0, 0.0, 2.0]])]
+        ties = 0
+        for gamma in gammas:
+            for center in ([0, 0, 0], [1, 0, -1], [-2, 1, 1]):
+                c = np.array(center, dtype=float)
+
+                def value(u, row):
+                    return dot(u, [a - b for a, b in zip(row, center)]) ** 2
+
+                def threshold(u):
+                    return dot(u, [dot(g_row, u) for g_row in gamma.tolist()])
+
+                ties += sum(value(u, row) == threshold(u)
+                            for u in INTEGER_DIRS.tolist() for row in x.tolist())
+                expected = loop_two_sided_depth(x, INTEGER_DIRS, value, threshold)
+                assert scatter_depth(gamma, x, center=c,
+                                     dirs=INTEGER_DIRS) == expected
+        assert ties > 0
 
     def test_matches_gaussian_model_depth(self):
         gen = np.random.default_rng(5)

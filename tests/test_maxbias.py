@@ -149,7 +149,7 @@ class TestGFunction:
     def test_arcsine_identity(self):
         # Sign-agreement probability of a correlated Gaussian pair:
         # g(t) = 1/2 + arcsin(t / sqrt(1 + t^2)) / pi.
-        for t in (0.2, 0.7, 1.5, 4.0):
+        for t in (0.2, 0.7, 1.5, 4.0, 1e3, 1e4):
             expected = 0.5 + math.asin(t / math.sqrt(1 + t * t)) / math.pi
             assert g_function(t) == pytest.approx(expected, abs=1e-10)
 
@@ -172,6 +172,16 @@ class TestRegressionMaxbias:
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             regdepth_maxbias(1 / 3)
+
+    def test_near_breakdown(self):
+        # arctan(b) = pi eps / (1 - eps) reaches pi/2 at eps = 1/3, so
+        # b (9 pi / 4) (1/3 - eps) -> 1 and the curve keeps rising.
+        eps = [1 / 3 - 10.0 ** -k for k in range(1, 13)]
+        b = [regdepth_maxbias(e) for e in eps]
+        assert all(lo < hi for lo, hi in zip(b, b[1:]))
+        for k in range(4, 9):
+            ratio = b[k - 1] * (9 * math.pi / 4) * 10.0 ** -k
+            assert ratio == pytest.approx(1.0, abs=1e-3)
 
 
 class TestLocScaleBreakdown:
