@@ -39,6 +39,7 @@ from .maxbias import (
 from .numerics import RngStream, SpdMatrix, unit_directions
 from .simlab import (
     ContaminationSpec,
+    RecordsError,
     aggregate,
     boxplot_stats,
     efficiency,
@@ -432,7 +433,7 @@ def main(argv=None):
         return args.func(args)
     except DivergenceError as exc:
         return _fail(_USAGE_ERROR, str(exc))
-    except DataError as exc:
+    except (DataError, RecordsError) as exc:
         return _fail(_DATA_ERROR, str(exc))
     except (FileNotFoundError, OSError) as exc:
         return _fail(_DATA_ERROR, str(exc))

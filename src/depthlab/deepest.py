@@ -11,6 +11,13 @@ least as deep as the initialization.
 Ties are broken deterministically: first by depth, then by the documented
 secondary keys (smallest scale, closeness to the coordinatewise median,
 candidate order).
+
+The sampled searches evaluate many candidates against one dataset, so they
+sort its projections once and count by bisection
+(:class:`~depthlab.depth._SortedCounts`).  The sampled location search is
+also bounded: the depth of a candidate is at most its minimum count over a
+few pool directions, and only candidates whose bound can still beat the
+incumbent are counted in full.  Both give the fits of an exhaustive count.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ProjectionDepth,
-                    _two_sided_counts, as_dataset, build_directions, ls_depth2,
+                    _SortedCounts, as_dataset, build_directions, ls_depth2,
                     regression_depth, tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
@@ -66,6 +73,11 @@ def tukey_median(data, cfg=None):
     n).  Otherwise the search starts from the coordinatewise median and
     ascends through data points, pairwise midpoints (small n), and shrinking
     Gaussian perturbations; the exact p = 2 depth is used when affordable.
+    Each batch moves to its first deepest candidate, and an ascent round
+    only when that candidate is strictly deeper than the incumbent.  With
+    sampled depth, :meth:`~depthlab.depth._ProjectionDepth.best` skips the
+    candidates whose upper bound rules them out, so the result is the one an
+    exhaustive argmax gives.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -74,15 +86,12 @@ def tukey_median(data, cfg=None):
         return np.array([lower_median(x[:, 0])])
 
     if p == 2 and n <= 400:
-        def depth_many(cands):
-            return np.array([tukey_depth(c, x) for c in cands])
+        def best_above(cands, floor):
+            return _first_max_above([tukey_depth(c, x) for c in cands], floor)
     else:
         dirs = build_directions(x, center=np.median(x, axis=0),
                                 rng=cfg.rng.child(11))
-        evaluator = _ProjectionDepth(x, dirs)
-
-        def depth_many(cands):
-            return evaluator.depths(np.asarray(cands))
+        best_above = _ProjectionDepth(x, dirs).best
 
     cands = [np.median(x, axis=0), x.mean(axis=0)]
     cands.extend(x[i] for i in range(min(n, 200)))
@@ -91,31 +100,38 @@ def tukey_median(data, cfg=None):
             for j in range(i + 1, n):
                 cands.append(0.5 * (x[i] + x[j]))
     cands = np.array(cands)
-    vals = depth_many(cands)
-    best_idx = int(np.argmax(vals))
-    best, best_val = cands[best_idx].copy(), float(vals[best_idx])
+    best_idx, best_val = best_above(cands, -np.inf)
+    best = cands[best_idx].copy()
 
     scale = np.median(np.abs(x - np.median(x, axis=0)), axis=0)
     scale = np.where(scale > 0, scale, np.std(x, axis=0))
     scale = np.where(scale > 0, scale, 1.0)
-    return _perturbation_ascent(depth_many, best, best_val, scale, 1.0, 24,
+    return _perturbation_ascent(best_above, best, best_val, scale, 1.0, 24,
                                 cfg.rng.child(12).generator())
 
 
-def _perturbation_ascent(depth_many, best, best_val, scale, step, count, gen):
+def _first_max_above(vals, floor):
+    """``(index, value)`` of the first maximum of ``vals``, or None when it
+    is not above ``floor``."""
+    j = int(np.argmax(vals))
+    return (j, float(vals[j])) if vals[j] > floor else None
+
+
+def _perturbation_ascent(best_above, best, best_val, scale, step, count, gen):
     """Shrinking-step random ascent from ``best``.
 
     Each round draws ``count`` Gaussian proposals around the incumbent with
-    per-coordinate spread ``step * scale`` and moves to the deepest of them
-    if it is strictly deeper; otherwise the step shrinks, and the search
-    stops once it falls below the tolerance.
+    per-coordinate spread ``step * scale`` and moves to the first deepest of
+    them if it is strictly deeper; otherwise the step shrinks, and the
+    search stops once it falls below the tolerance.  ``best_above(props,
+    floor)`` returns that proposal's index and depth, or None when no
+    proposal is deeper than ``floor``.
     """
     for _ in range(_MAX_ITERATIONS):
         props = best + step * scale * gen.standard_normal((count, best.size))
-        vals = depth_many(props)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best, best_val = props[j].copy(), float(vals[j])
+        hit = best_above(props, best_val)
+        if hit is not None:
+            best, best_val = props[hit[0]].copy(), hit[1]
         else:
             step *= _STEP_SHRINK
             if step < _TOLERANCE:
@@ -173,15 +189,15 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     gamma0 = SpdMatrix.from_matrix(gamma)
 
     u = _scatter_pool(xc, gamma0, cfg.rng)
-    proj_sq = (xc @ u.T) ** 2                           # (n, K)
-    sorted_sq = np.sort(proj_sq, axis=0)
+    sorted_sq = np.sort((xc @ u.T) ** 2, axis=0)        # (n, K)
     targets = sorted_sq[(n - 1) // 2, :]                # per-direction balance point
 
     n_tail = min(32, u.shape[0])
+    kernel = _SortedCounts(sorted_sq)
 
     def eval_depth(g):
         t = np.einsum("kj,jl,kl->k", u, g, u)
-        per_dir = _two_sided_counts(proj_sq, t, 1e-12 * np.maximum(1.0, t)) / n
+        per_dir = kernel.counts(t, 1e-12 * np.maximum(1.0, t)) / n
         order = np.argsort(per_dir)
         # Lexicographic score: overall depth first, then the mean over the
         # worst directions, then the grand mean, so repairing some of many
@@ -353,6 +369,8 @@ def deepest_regression(x, y, cfg=None):
     if best_val >= 1.0:
         return best
 
-    return _perturbation_ascent(lambda props: [depth_of(c) for c in props],
-                                best, best_val, max(np.linalg.norm(best), 1.0),
-                                0.5, 16, gen)
+    def best_above(props, floor):
+        return _first_max_above([depth_of(c) for c in props], floor)
+
+    return _perturbation_ascent(best_above, best, best_val,
+                                max(np.linalg.norm(best), 1.0), 0.5, 16, gen)

@@ -46,6 +46,8 @@ _QUADRIC_RTOL = 1e-10         # point-mass depth: on the quadric v'Av = 0
 _INVPHI = (5 ** 0.5 - 1) / 2
 _GOLDEN_STEPS = 100
 _DIRECTIONS_PER_DIM = 500     # sampled directions per dimension in a pool
+_SORTED_MIN_N = 30            # from this n on, bisection beats comparing all
+_PROBE_COLUMNS = 64           # pool columns of the upper bound in pruning
 
 
 def as_dataset(data):
@@ -169,33 +171,99 @@ def _two_sided_counts(vals, t, tol):
     return np.minimum(below, above)
 
 
+class _SortedCounts:
+    """:func:`_two_sided_counts` against fixed columns, for callers that
+    count many threshold vectors against one dataset.
+
+    ``sorted_vals`` is (n, K) with every column sorted ascending.  From
+    ``_SORTED_MIN_N`` rows on, each column is padded with +inf to width
+    2^r, r = ceil(log2(n + 1)), and the columns are stored back to back;
+    :meth:`counts` then runs r branchless bisection rounds over all
+    thresholds at once.  For finite v, v < b exactly when
+    v <= nextafter(b, -inf), so the counts equal :func:`_two_sided_counts`
+    exactly.  Below that size comparing every value is faster.
+    """
+
+    def __init__(self, sorted_vals):
+        n, k = sorted_vals.shape
+        self.n = n
+        self.vals = self.flat = None
+        if n < _SORTED_MIN_N:
+            self.vals = sorted_vals
+            return
+        width = 1 << n.bit_length()             # 2^ceil(log2(n + 1))
+        padded = np.full((k, width), np.inf)
+        padded[:, :n] = sorted_vals.T
+        self.flat = padded.ravel()
+        self.starts = np.arange(k) * width
+        self.steps = [width >> i for i in range(1, n.bit_length() + 1)]
+
+    def counts(self, t, tol, cols=None):
+        """Per column: min(#{v <= t + tol}, #{v >= t - tol}).
+
+        ``t`` is (..., K) or, with ``cols``, (..., len(cols)) for those
+        columns only; ``tol`` broadcasts against it.
+        """
+        if self.flat is None:
+            vals = self.vals if cols is None else self.vals[:, cols]
+            return _two_sided_counts(vals.reshape(self.n, *(1,) * (t.ndim - 1),
+                                                  -1), t, tol)
+        bounds = np.stack([t + tol, np.nextafter(t - tol, -np.inf)])
+        starts = self.starts if cols is None else self.starts[cols]
+        idx = np.broadcast_to(starts, bounds.shape).copy()
+        for step in self.steps:
+            idx += (self.flat[idx + (step - 1)] <= bounds) * step
+        idx -= starts
+        return np.minimum(idx[0], self.n - idx[1])
+
+
 class _ProjectionDepth:
-    """Sampled halfspace depth of many candidate points via sorted projections.
+    """Sampled halfspace depth of many candidate points against one pool.
 
     Per direction, points within a tolerance of the boundary (scaled by the
-    largest projection) count on both sides, as in :func:`tukey_depth`; for
-    batches of candidates a binary search per column beats comparing every
-    candidate against every projection.
+    largest projection) count on both sides, as in :func:`tukey_depth`.
+    The projections are sorted once and counted through
+    :class:`_SortedCounts`.  :meth:`best` prunes with an upper bound: the
+    depth is a minimum over directions, so the minimum over a few of them
+    bounds it from above.
     """
 
     def __init__(self, x, dirs):
         self.u = np.asarray(dirs, dtype=float)
         self.n = x.shape[0]
-        self.proj = np.sort(x @ self.u.T, axis=0)      # (n, K)
+        proj = np.sort(x @ self.u.T, axis=0)           # (n, K)
+        self.tol = _TIE_RTOL * np.maximum(
+            1.0, np.maximum(np.abs(proj[0]), np.abs(proj[-1])))
+        self.kernel = _SortedCounts(proj)
+        k = self.u.shape[0]
+        self.probe = np.linspace(0, k - 1, min(k, _PROBE_COLUMNS)).astype(int)
 
     def depths(self, thetas):
         t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
-        out = np.empty(t.shape[0])
-        below = np.empty_like(t, dtype=np.int64)
-        above = np.empty_like(t, dtype=np.int64)
-        for k in range(self.u.shape[0]):
-            col = self.proj[:, k]
-            tol = _TIE_RTOL * max(1.0, abs(col[0]), abs(col[-1]))
-            below[:, k] = np.searchsorted(col, t[:, k] + tol, side="right")
-            above[:, k] = self.n - np.searchsorted(col, t[:, k] - tol, side="left")
-        np.minimum(below, above, out=below)
-        out[:] = below.min(axis=1) / self.n
-        return out
+        return self.kernel.counts(t, self.tol).min(axis=1) / self.n
+
+    def best(self, thetas, floor):
+        """``(index, depth)`` of the first deepest candidate, or None when
+        no candidate is deeper than ``floor``.
+
+        Only candidates whose bound can still reach the running best are
+        counted in full, highest bound first.  The product with the pool is
+        formed once for the whole batch: a product of a sub-batch may round
+        differently.
+        """
+        t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
+        bound = self.kernel.counts(t[:, self.probe], self.tol[self.probe],
+                                   cols=self.probe).min(axis=1)
+        best_i, best_c = None, -1
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] < best_c or bound[i] / self.n <= floor:
+                break
+            c = self.kernel.counts(t[i], self.tol).min()
+            if c > best_c or (c == best_c and i < best_i):
+                best_i, best_c = int(i), int(c)
+        if best_i is None or best_c / self.n <= floor:
+            return None
+        return best_i, best_c / self.n
 
 
 def tukey_depth(theta, data, dirs=None):

@@ -37,6 +37,7 @@ __all__ = [
     "run_grid",
     "write_records_csv",
     "read_records_csv",
+    "RecordsError",
     "aggregate",
     "write_aggregate_csv",
     "efficiency",
@@ -265,19 +266,37 @@ def write_records_csv(records, path):
             writer.writerow(_record_row(rec))
 
 
+class RecordsError(ValueError):
+    """A records CSV that cannot be read back."""
+
+
 def read_records_csv(path):
+    """Records of a CSV written by :func:`write_records_csv` or
+    :func:`run_grid`.
+
+    A wrong header, or a row that is cut short (as by an interrupted run) or
+    does not parse, raises :class:`RecordsError` naming the file and line.
+    """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RECORD_HEADER:
-            raise ValueError(f"unexpected records header in {path}: {header}")
+        header = next(reader, None)
+        if header is None or tuple(header) != RECORD_HEADER:
+            raise RecordsError(f"unexpected records header in {path}: {header}")
         for row in reader:
-            records.append(BiasRecord(
-                estimator=row[0], p=int(row[1]), n=int(row[2]),
-                epsilon=float(row[3]), k=int(row[4]), replicate=int(row[5]),
-                lambda1=float(row[6]), lambdap=float(row[7]), b=float(row[8]),
-                cn=float(row[9]), flag=bool(int(row[10]))))
+            try:
+                if len(row) != len(RECORD_HEADER):
+                    raise ValueError(f"{len(row)} of {len(RECORD_HEADER)} "
+                                     f"fields")
+                records.append(BiasRecord(
+                    estimator=row[0], p=int(row[1]), n=int(row[2]),
+                    epsilon=float(row[3]), k=int(row[4]),
+                    replicate=int(row[5]), lambda1=float(row[6]),
+                    lambdap=float(row[7]), b=float(row[8]), cn=float(row[9]),
+                    flag=bool(int(row[10]))))
+            except ValueError as exc:
+                raise RecordsError(f"{path}, line {reader.line_num}: "
+                                   f"malformed record ({exc})") from None
     return records
 
 

@@ -207,6 +207,31 @@ class TestSimulateReport:
         back = read_records_csv(str(r1))
         assert len(back) == 2 * 2 * 5
 
+    @pytest.fixture
+    def cut_records(self, tmp_path):
+        # The last row stops mid-field, as when a run is killed mid-write.
+        f = tmp_path / "cut.csv"
+        f.write_text("estimator,p,n,epsilon,k,replicate,lambda1,lambdap,b,cn,"
+                     "flag\nSCOV,2,20,0.1,0,0,1.5,0.7,1.5,2.1,0\n"
+                     "SCOV,2,20,0.1,0,1,1.2")
+        return f
+
+    def test_resume_truncated_records_is_data_error(self, tiny_cfg,
+                                                    cut_records, capsys):
+        before = cut_records.read_bytes()
+        code, _, err = run_cli(["simulate", "--config", tiny_cfg, "--out",
+                                str(cut_records), "--resume"], capsys)
+        assert code == 3
+        assert f"{cut_records}, line 3" in err
+        assert cut_records.read_bytes() == before
+
+    def test_report_truncated_records_is_data_error(self, cut_records,
+                                                    tmp_path, capsys):
+        code, _, err = run_cli(["report", str(cut_records), "--out-dir",
+                                str(tmp_path / "report")], capsys)
+        assert code == 3
+        assert f"{cut_records}, line 3" in err
+
     def test_report_missing_records(self, tmp_path, capsys):
         code, _, _ = run_cli(["report", str(tmp_path / "none.csv")], capsys)
         assert code == 3

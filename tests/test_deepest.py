@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import depthlab.depth as depth_mod
 from depthlab.deepest import (
     SearchConfig,
     deepest_locscale1,
@@ -80,6 +81,17 @@ class TestDeepestScatter:
         g1 = deepest_scatter(x, np.zeros(2), cfg_with_seed(11))
         g2 = deepest_scatter(x @ d, np.zeros(2), cfg_with_seed(11))
         assert np.allclose(d @ g1.entries @ d, g2.entries, atol=1e-8)
+
+    def test_same_fit_on_both_count_paths(self, monkeypatch):
+        # Bisection and comparing every value give equal counts, so the
+        # ascent takes the same steps either way.
+        gen = np.random.default_rng(13)
+        x = gen.integers(-4, 5, size=(60, 3)).astype(float)
+        x[:12] = 3.0
+        bisect = deepest_scatter(x, np.zeros(3), cfg_with_seed(14))
+        monkeypatch.setattr(depth_mod, "_SORTED_MIN_N", 10 ** 6)
+        compare = deepest_scatter(x, np.zeros(3), cfg_with_seed(14))
+        assert np.array_equal(bisect.entries, compare.entries)
 
     def test_rejects_degenerate_data(self):
         x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]])

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import depthlab.depth as depth_mod
+from depthlab.deepest import SearchConfig, tukey_median
 from depthlab.depth import (
     _ProjectionDepth,
+    _SortedCounts,
+    _two_sided_counts,
     build_directions,
     default_mvreg_candidates,
     ls_depth1,
@@ -154,6 +158,102 @@ class TestTukeyDepth:
         assert _ProjectionDepth(x, dirs).depths(thetas).tolist() == expected
         got = [tukey_depth(t, x, dirs=dirs) for t in thetas]
         assert got == expected
+
+
+def sorted_counts(vals, path, monkeypatch):
+    """A kernel over ``vals`` on the bisection ("sorted") or the comparing
+    ("compare") path, whatever the size of ``vals``."""
+    n = vals.shape[0]
+    monkeypatch.setattr(depth_mod, "_SORTED_MIN_N",
+                        1 if path == "sorted" else n + 1)
+    kernel = _SortedCounts(np.sort(vals, axis=0))
+    assert (kernel.flat is None) == (path == "compare")
+    return kernel
+
+
+def near_thresholds(vals, gen):
+    """Thresholds on, next to and within 1e-13 relative of data values."""
+    v = vals[gen.integers(0, vals.shape[0], size=vals.shape[1]),
+             np.arange(vals.shape[1])]
+    return np.stack([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf),
+                     v * (1 + 1e-13), v * (1 - 1e-13), v + 1e-13, v - 0.5])
+
+
+class TestSortedCounts:
+    @pytest.mark.parametrize("path", ["sorted", "compare"])
+    @pytest.mark.parametrize("n", [1, 7, 15, 31, 200])
+    def test_equals_two_sided_counts(self, n, path, monkeypatch):
+        gen = np.random.default_rng(n)
+        ints = gen.integers(-3, 4, size=(n, 40)).astype(float)
+        reals = gen.standard_normal((n, 40))
+        for vals in (ints, reals):
+            kernel = sorted_counts(vals, path, monkeypatch)
+            t = near_thresholds(vals, gen)                  # (7, 40)
+            for tol in (0.0, 1e-12, 1e-12 * np.maximum(1.0, np.abs(t))):
+                expected = _two_sided_counts(vals[:, None, :], t, tol)
+                assert np.array_equal(kernel.counts(t, tol), expected)
+                for i, row in enumerate(t):
+                    tol_row = tol if np.isscalar(tol) else tol[i]
+                    assert np.array_equal(kernel.counts(row, tol_row),
+                                          expected[i])
+                cols = np.array([0, 3, 17, 39])
+                tol_cols = tol if np.isscalar(tol) else tol[:, cols]
+                assert np.array_equal(kernel.counts(t[:, cols], tol_cols, cols),
+                                      expected[:, cols])
+
+    def test_integer_ties_counted_on_both_sides(self, monkeypatch):
+        vals = np.array([[0.0], [1.0], [1.0], [1.0], [2.0], [3.0], [3.0]])
+        kernel = sorted_counts(vals, "sorted", monkeypatch)
+        # t = 1: four at or below, five at or above; t = 3: seven and two.
+        assert kernel.counts(np.array([[1.0], [3.0], [2.5]]), 0.0).tolist() \
+            == [[4], [2], [2]]
+
+    def test_crossover_selects_path(self):
+        small = _SortedCounts(np.zeros((depth_mod._SORTED_MIN_N - 1, 3)))
+        large = _SortedCounts(np.zeros((depth_mod._SORTED_MIN_N, 3)))
+        assert small.flat is None and large.flat is not None
+
+
+def brute_best(evaluator, thetas, floor):
+    """Reference for ``_ProjectionDepth.best``: argmax over every depth."""
+    vals = evaluator.depths(thetas)
+    j = int(np.argmax(vals))
+    return (j, float(vals[j])) if vals[j] > floor else None
+
+
+class TestProjectionDepthBest:
+    @pytest.mark.parametrize("path", ["sorted", "compare"])
+    def test_matches_brute_force_argmax(self, path, monkeypatch):
+        monkeypatch.setattr(depth_mod, "_SORTED_MIN_N",
+                            1 if path == "sorted" else 10 ** 6)
+        # Integer data and candidates tie often, so the first maximiser is
+        # often reached after a later one with a higher bound.
+        dirs = np.vstack([INTEGER_DIRS, unit_directions(300, 3, RngStream(2))])
+        for seed in range(40):
+            gen = np.random.default_rng(seed)
+            x = gen.integers(-3, 4, size=(40, 3)).astype(float)
+            thetas = np.vstack([x[:20], gen.integers(-3, 4, size=(40, 3)),
+                                0.5 * gen.integers(-5, 6, size=(20, 3))])
+            evaluator = _ProjectionDepth(x, dirs)
+            depths = evaluator.depths(thetas)
+            top = depths.max()
+            below = depths[depths < top]
+            floors = [-np.inf, top - 1 / 40, top, top + 1 / 40, 0.0]
+            if below.size:
+                floors.append(below.max())
+            for floor in floors:
+                assert evaluator.best(thetas, floor) == \
+                    brute_best(evaluator, thetas, floor)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_tukey_median_unchanged_by_pruning(self, n, monkeypatch):
+        gen = np.random.default_rng(n)
+        x = gen.standard_normal((n, 5))
+        x[gen.random(n) < 0.2] = 5.0
+        cfg = SearchConfig(rng=RngStream(7))
+        pruned = tukey_median(x, cfg)
+        monkeypatch.setattr(_ProjectionDepth, "best", brute_best)
+        assert np.array_equal(pruned, tukey_median(x, cfg))
 
 
 class TestBuildDirections:
