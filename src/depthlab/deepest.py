@@ -12,12 +12,15 @@ Ties are broken deterministically: first by depth, then by the documented
 secondary keys (smallest scale, closeness to the coordinatewise median,
 candidate order).
 
-The sampled searches evaluate many candidates against one dataset, so they
-sort its projections once and count by bisection
-(:class:`~depthlab.depth._SortedCounts`).  The sampled location search is
-also bounded: the depth of a candidate is at most its minimum count over a
-few pool directions, and only candidates whose bound can still beat the
-incumbent are counted in full.  Both give the fits of an exhaustive count.
+The searches evaluate many candidates against one dataset, so they count a
+whole batch at once.  The sampled searches sort its projections once and
+count by bisection (:class:`~depthlab.depth._SortedCounts`).  The sampled
+location search is also bounded: the depth of a candidate is at most its
+minimum count over a few pool directions, and only candidates whose bound
+can still beat the incumbent are counted in full.  At p = 2 the exact depths
+of a batch come from an angular sweep (location) and from sign tables of the
+design (regression).  All give the fits of a count of one candidate at a
+time.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ProjectionDepth,
-                    _SortedCounts, as_dataset, build_directions, ls_depth2,
-                    regression_depth, tukey_depth)
+                    _RegressionSigns, _SortedCounts, _tukey_sweep, as_dataset,
+                    build_directions, ls_depth2, regression_depth, tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -47,6 +50,10 @@ __all__ = [
 _MAX_ITERATIONS = 100
 _STEP_SHRINK = 0.5
 _TOLERANCE = 1e-3
+
+# Up to this n the location search also tries every pairwise midpoint, and
+# at p = 2 counts each candidate with a one-shot exact tukey_depth call.
+_MIDPOINT_MAX_N = 60
 
 
 @dataclass(frozen=True)
@@ -71,13 +78,16 @@ def tukey_median(data, cfg=None):
 
     p = 1 returns the exact sample median (lower-middle convention for even
     n).  Otherwise the search starts from the coordinatewise median and
-    ascends through data points, pairwise midpoints (small n), and shrinking
-    Gaussian perturbations; the exact p = 2 depth is used when affordable.
-    Each batch moves to its first deepest candidate, and an ascent round
-    only when that candidate is strictly deeper than the incumbent.  With
-    sampled depth, :meth:`~depthlab.depth._ProjectionDepth.best` skips the
-    candidates whose upper bound rules them out, so the result is the one an
-    exhaustive argmax gives.
+    ascends through data points, pairwise midpoints (n <= 60), and shrinking
+    Gaussian perturbations.  Each batch moves to its first deepest
+    candidate, and an ascent round only when that candidate is strictly
+    deeper than the incumbent.  At p = 2 and n <= 400 the depth is exact:
+    one :func:`~depthlab.depth.tukey_depth` call per candidate up to n = 60,
+    above that an angular sweep of the whole batch
+    (:func:`~depthlab.depth._tukey_sweep`), which gives the same depths.
+    With sampled depth, :meth:`~depthlab.depth._ProjectionDepth.best` skips
+    the candidates whose upper bound rules them out, so the result is the
+    one an exhaustive argmax gives.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -85,9 +95,12 @@ def tukey_median(data, cfg=None):
     if p == 1:
         return np.array([lower_median(x[:, 0])])
 
-    if p == 2 and n <= 400:
+    if p == 2 and n <= _MIDPOINT_MAX_N:
         def best_above(cands, floor):
             return _first_max_above([tukey_depth(c, x) for c in cands], floor)
+    elif p == 2 and n <= 400:
+        def best_above(cands, floor):
+            return _first_max_above(_tukey_sweep(cands, x), floor)
     else:
         dirs = build_directions(x, center=np.median(x, axis=0),
                                 rng=cfg.rng.child(11))
@@ -95,7 +108,7 @@ def tukey_median(data, cfg=None):
 
     cands = [np.median(x, axis=0), x.mean(axis=0)]
     cands.extend(x[i] for i in range(min(n, 200)))
-    if n <= 60:
+    if n <= _MIDPOINT_MAX_N:
         for i in range(n):
             for j in range(i + 1, n):
                 cands.append(0.5 * (x[i] + x[j]))
@@ -308,7 +321,11 @@ def deepest_locscale2(data):
     if best_fit is None:
         raise ValueError("no admissible scale candidate (degenerate data)")
     # Exactness guard: the enumerated value must match the closed form.
-    assert abs(ls_depth2(best_fit[0], best_fit[1], x) + best[0]) < 1e-12
+    closed = ls_depth2(best_fit[0], best_fit[1], x)
+    if abs(closed + best[0]) >= 1e-12:
+        raise RuntimeError(f"deepest_locscale2: enumerated depth "
+                           f"{float(-best[0])!r} != closed-form ls_depth2 "
+                           f"{float(closed)!r}")
     return best_fit
 
 
@@ -321,7 +338,10 @@ def deepest_regression(x, y, cfg=None):
 
     Candidates are exact fits through p-subsets of observations plus
     shrinking perturbations around the incumbent; the depth of each
-    candidate is exact for p <= 2 and direction-sampled otherwise.
+    candidate is exact for p <= 2 and direction-sampled otherwise.  At
+    p = 2 the subset batch and each ascent round are counted against sign
+    tables of the design built once
+    (:class:`~depthlab.depth._RegressionSigns`).
     """
     x = as_dataset(x)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -334,12 +354,14 @@ def deepest_regression(x, y, cfg=None):
         raise ValueError("degenerate design: covariates lie in a hyperplane through 0")
     cfg = cfg or SearchConfig()
 
-    dirs = None
-    if p > 2:
-        dirs = unit_directions(_DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
+    if p == 2:
+        depths = _RegressionSigns(x, yv).depths
+    else:
+        dirs = None if p == 1 else unit_directions(
+            _DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
 
-    def depth_of(beta):
-        return regression_depth(beta, x, yv, dirs=dirs)
+        def depths(betas):
+            return [regression_depth(b, x, yv, dirs=dirs) for b in betas]
 
     cands = [np.linalg.lstsq(x, yv, rcond=None)[0]]
     gen = cfg.rng.child(32).generator()
@@ -363,14 +385,14 @@ def deepest_regression(x, y, cfg=None):
             if np.all(np.isfinite(sol)):
                 cands.append(sol)
 
-    vals = [depth_of(c) for c in cands]
+    vals = depths(cands)
     best_idx = int(np.argmax(vals))
     best, best_val = np.asarray(cands[best_idx], float).copy(), vals[best_idx]
     if best_val >= 1.0:
         return best
 
     def best_above(props, floor):
-        return _first_max_above([depth_of(c) for c in props], floor)
+        return _first_max_above(depths(props), floor)
 
     return _perturbation_ascent(best_above, best, best_val,
                                 max(np.linalg.norm(best), 1.0), 0.5, 16, gen)

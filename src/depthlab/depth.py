@@ -1,10 +1,13 @@
 """Depth functions for location, scatter, regression, and location-scale fits.
 
 Empirical depths are computed against a dataset (rows = observations).  For
-p <= 2 the Tukey and regression depths have an exact combinatorial mode that
-enumerates every combinatorially distinct halfspace; in higher dimension the
-infimum over the sphere is approximated by seeded direction sampling, which
-always upper-bounds the exact value.
+p <= 2 the Tukey and regression depths have an exact combinatorial mode; in
+higher dimension the infimum over the sphere is approximated by seeded
+direction sampling, which always upper-bounds the exact value.  At p = 2 the
+one-shot functions count every combinatorially distinct halfplane; the
+deepest-fit searches count a whole batch of candidates at once, with an
+angular sweep for Tukey depth (Rousseeuw & Ruts, Applied Statistics 1996)
+and sign tables of the design for regression depth, and get the same depths.
 
 Tie handling follows the non-strict inequalities of the definitions: points
 sitting exactly on a boundary are counted on both sides.  Comparisons use a
@@ -48,6 +51,8 @@ _GOLDEN_STEPS = 100
 _DIRECTIONS_PER_DIM = 500     # sampled directions per dimension in a pool
 _SORTED_MIN_N = 30            # from this n on, bisection beats comparing all
 _PROBE_COLUMNS = 64           # pool columns of the upper bound in pruning
+_ARC_TOL = 2e-12              # sweep: 1e-12 rad of tolerance at each end of an arc
+_FIT_BLOCK = 128              # regression fits counted per product
 
 
 def as_dataset(data):
@@ -158,6 +163,36 @@ def _tukey_exact_2d(theta, x):
     tol = _TIE_RTOL * np.linalg.norm(zz, axis=1)[:, None]
     counts = np.sum(proj <= tol, axis=0) + n_zero
     return float(counts.min()) / n
+
+
+def _tukey_sweep(thetas, x):
+    """Exact p = 2 halfspace depths of the rows of ``thetas``, as
+    :func:`_tukey_exact_2d` gives them, in O(n log n) per candidate.
+
+    Rows within the tolerance of theta are dropped and count in every
+    halfplane.  Around theta the others sit at angles a; a closed halfplane
+    through theta holds the points of an arc of length pi, and the fewest it
+    can hold is min over j of #{a_i in (a_j, a_j + pi]}, found by sorting
+    the angles once and searching the doubled circle.  The arc is closed by
+    ``_ARC_TOL`` past pi, as the projection tolerance counts points within
+    1e-12 rad of the boundary line on both sides.
+    """
+    z = x[None, :, :] - thetas[:, None, :]            # (C, n, 2)
+    norms = np.linalg.norm(z, axis=2)
+    scale = np.maximum(1.0, norms.max(axis=1))
+    at_theta = norms <= _TIE_RTOL * scale[:, None]
+    angles = np.where(at_theta, np.inf, np.arctan2(z[..., 1], z[..., 0]))
+    angles.sort(axis=1)                               # dropped rows go last
+    n = x.shape[0]
+    n_zero = at_theta.sum(axis=1)
+    depths = np.ones(thetas.shape[0])
+    for c in np.flatnonzero(n_zero < n):
+        a = angles[c, :n - n_zero[c]]
+        circle = np.concatenate([a, a + 2.0 * np.pi])
+        inside = (np.searchsorted(circle, a + (np.pi + _ARC_TOL), side="right")
+                  - np.searchsorted(circle, a, side="right"))
+        depths[c] = (n_zero[c] + inside.min()) / n
+    return depths
 
 
 def _two_sided_counts(vals, t, tol):
@@ -436,12 +471,58 @@ def _check_regression(x, y):
     return x, y
 
 
+def _zeroed_residuals(y, x, beta):
+    """y - x beta, with residuals within the tie tolerance set to 0."""
+    resid = y - x @ beta
+    tol = _TIE_RTOL * max(1.0, np.abs(resid).max(initial=0.0))
+    return np.where(np.abs(resid) <= tol, 0.0, resid)
+
+
+class _RegressionSigns:
+    """Exact p = 2 regression depth of many fits against one design.
+
+    The critical directions u (normals to the rows of x, and the midpoints
+    of the arcs between them) and the signs of x'u beyond the tolerance
+    depend only on the design, so the 0/1 tables P = [x'u > 0] and
+    N = [x'u < 0] are built once.  The score (u'x_i) r_i is negative
+    exactly when the residual r_i has the sign opposite to u'x_i, so per
+    direction n - (R+ N + R- P) scores are nonnegative, where R+ and R- are
+    the 0/1 rows of positive and negative residuals; one product
+    [R+ R-] [N; P] gives both terms.  The 0/1 products are exact in
+    floating point.
+    """
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+        norms = np.linalg.norm(x, axis=1)
+        scale = max(1.0, norms.max(initial=0.0))
+        nz = norms > _TIE_RTOL * scale
+        cand = _candidate_angles(np.arctan2(x[nz, 1], x[nz, 0]))
+        u = np.stack([np.cos(cand), np.sin(cand)], axis=1)
+        xu = x @ u.T                                  # (n, K)
+        tol = _TIE_RTOL * norms[:, None]
+        self.table = np.vstack([xu < -tol, xu > tol]).astype(float)  # [N; P]
+
+    def depths(self, betas):
+        """Depths of the fits ``betas``, counted ``_FIT_BLOCK`` at a time
+        to bound the memory of the (fits, directions) counts."""
+        n = self.x.shape[0]
+        out = np.empty(len(betas))
+        for lo in range(0, len(betas), _FIT_BLOCK):
+            r = np.array([_zeroed_residuals(self.y, self.x, b)
+                          for b in betas[lo:lo + _FIT_BLOCK]])
+            wrong = np.hstack([r > 0.0, r < 0.0]) @ self.table   # (C, K)
+            out[lo:lo + len(r)] = (n - wrong.max(axis=1)) / n
+        return out
+
+
 def regression_depth(beta, x, y, dirs=None):
     """Univariate-response regression depth of the fit ``beta``.
 
     inf over nonzero u of P( (u'x_i) * (y_i - beta'x_i) >= 0 ); exact
-    enumeration for p <= 2 without a direction pool, otherwise the minimum
-    over the sampled directions ``dirs``.
+    enumeration for p <= 2 without a direction pool (at p = 2 a batch of
+    one for :class:`_RegressionSigns`), otherwise the minimum over the
+    sampled directions ``dirs``.
     """
     x, y = _check_regression(x, y)
     if y.shape[1] != 1:
@@ -449,24 +530,13 @@ def regression_depth(beta, x, y, dirs=None):
     y = y[:, 0]
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     n, p = x.shape
-    resid = y - x @ beta
-    tol_r = _TIE_RTOL * max(1.0, np.abs(resid).max(initial=0.0))
-    resid = np.where(np.abs(resid) <= tol_r, 0.0, resid)
+    if dirs is None and p == 2:
+        return float(_RegressionSigns(x, y).depths([beta])[0])
+    resid = _zeroed_residuals(y, x, beta)
     if dirs is None and p == 1:
         s = x[:, 0] * resid
         tol = _TIE_RTOL * max(1.0, np.abs(s).max(initial=0.0))
         return min(np.sum(s >= -tol), np.sum(-s >= -tol)) / n
-    if dirs is None and p == 2:
-        norms = np.linalg.norm(x, axis=1)
-        scale = max(1.0, norms.max(initial=0.0))
-        nz = norms > _TIE_RTOL * scale
-        cand = _candidate_angles(np.arctan2(x[nz, 1], x[nz, 0]))
-        u = np.stack([np.cos(cand), np.sin(cand)], axis=1)
-        xu = x @ u.T
-        tol = _TIE_RTOL * norms[:, None]
-        xu = np.where(np.abs(xu) <= tol, 0.0, xu)
-        scores = xu * resid[:, None]
-        return float(np.sum(scores >= 0.0, axis=0).min()) / n
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled regression depth needs a direction pool")
     u = np.asarray(dirs, dtype=float)

@@ -606,7 +606,9 @@ def mm(data, rng=None):
     tuning constant calibrated (once, by seeded simulation) for 95
     percent Gaussian efficiency.  The objective never increases across
     accepted iterations, and the final scatter is S0 times the refined
-    unit-determinant shape.
+    unit-determinant shape.  ``extras`` records whether the S start
+    converged and how many iterations it took; the MM flags describe the
+    refinement only.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -625,6 +627,8 @@ def mm(data, rng=None):
     return EstimatorResult("MM", mu, 0.5 * (cov + cov.T), iterations=iters,
                            converged=converged, singular=_is_singular(cov),
                            extras={"tuning": c, "s_scale": s0,
+                                   "s_start_converged": s_res.converged,
+                                   "s_start_iterations": s_res.iterations,
                                    "objective": obj,
                                    "objective_trace": obj_trace})
 

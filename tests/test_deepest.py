@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import depthlab.deepest as deepest_mod
 import depthlab.depth as depth_mod
 from depthlab.deepest import (
     SearchConfig,
@@ -147,6 +148,16 @@ class TestDeepestLocScale2:
         mu, sig = deepest_locscale2(y)
         assert abs(mu) <= 0.1
         assert sig == pytest.approx(0.6744897501960817, abs=0.1)
+
+    def test_exactness_guard_raises(self, monkeypatch):
+        y = np.random.default_rng(48).standard_normal(30)
+        mu, sigma = deepest_locscale2(y)
+        depth = float(ls_depth2(mu, sigma, y))
+        monkeypatch.setattr(deepest_mod, "ls_depth2",
+                            lambda *args: depth - 1 / 30)
+        with pytest.raises(RuntimeError, match=f"enumerated depth {depth!r} "
+                           f"!= closed-form ls_depth2 {depth - 1 / 30!r}"):
+            deepest_locscale2(y)
 
     def test_deterministic_on_duplicates(self):
         y = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 5.0, 5.0])

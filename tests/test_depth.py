@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import depthlab.deepest as deepest_mod
 import depthlab.depth as depth_mod
-from depthlab.deepest import SearchConfig, tukey_median
+from depthlab.deepest import SearchConfig, deepest_regression, tukey_median
 from depthlab.depth import (
     _ProjectionDepth,
+    _RegressionSigns,
     _SortedCounts,
+    _tukey_exact_2d,
+    _tukey_sweep,
     _two_sided_counts,
     build_directions,
     default_mvreg_candidates,
@@ -158,6 +162,210 @@ class TestTukeyDepth:
         assert _ProjectionDepth(x, dirs).depths(thetas).tolist() == expected
         got = [tukey_depth(t, x, dirs=dirs) for t in thetas]
         assert got == expected
+
+
+def pair_midpoints(x):
+    i, j = np.triu_indices(x.shape[0], k=1)
+    return 0.5 * (x[i] + x[j])
+
+
+def assert_sweep_is_exact(thetas, x):
+    expected = [_tukey_exact_2d(t, x) for t in thetas]
+    assert _tukey_sweep(thetas, x).tolist() == expected
+
+
+class TestTukeySweep:
+    def test_random_data(self):
+        gen = np.random.default_rng(40)
+        for n in (1, 2, 5, 40, 200):
+            x = gen.standard_normal((n, 2))
+            thetas = np.vstack([gen.standard_normal((30, 2)), x[:20],
+                                x.mean(axis=0), [[40.0, -3.0]]])
+            assert_sweep_is_exact(thetas, x)
+
+    def test_integer_ties(self):
+        # Integer points through integer and half-integer centres: many
+        # points are collinear with theta, on the same and on opposite sides.
+        gen = np.random.default_rng(41)
+        for _ in range(10):
+            x = gen.integers(-3, 4, size=(30, 2)).astype(float)
+            thetas = np.vstack([gen.integers(-4, 5, size=(30, 2)),
+                                0.5 * gen.integers(-7, 8, size=(30, 2))])
+            assert_sweep_is_exact(thetas.astype(float), x)
+
+    def test_point_mass_duplicates(self):
+        gen = np.random.default_rng(42)
+        x = gen.standard_normal((40, 2))
+        x[gen.random(40) < 0.3] = [5.0, 5.0]
+        thetas = np.vstack([x, pair_midpoints(x)[::7],
+                            [5.0, 5.0] + 1e-3 * gen.standard_normal((20, 2))])
+        assert_sweep_is_exact(thetas, x)
+
+    def test_theta_at_data_point(self):
+        gen = np.random.default_rng(43)
+        x = np.vstack([gen.standard_normal((25, 2)),
+                       gen.integers(-2, 3, size=(25, 2))])
+        thetas = np.vstack([x, x[:10]])
+        assert_sweep_is_exact(thetas, x)
+        # Every row at theta: depth 1, as the one-shot function says.
+        same = np.ones((4, 2))
+        assert _tukey_sweep(same[:1], same).tolist() == [1.0]
+
+    def test_midpoints_of_collinear_pairs(self):
+        # The two ends of each pair sit on one line through theta, at angles
+        # pi apart up to rounding; both must count in the closed halfplane.
+        x = np.array([[0, 0], [2, 0], [4, 0], [1, 1], [3, 3], [-1, -1],
+                      [0, 2], [2, 4], [-2, 1], [2, -1], [1, 3], [3, 1]],
+                     dtype=float)
+        assert_sweep_is_exact(pair_midpoints(x), x)
+        gen = np.random.default_rng(44)
+        z = gen.standard_normal((30, 2))
+        assert_sweep_is_exact(pair_midpoints(z), z)
+
+    @pytest.mark.parametrize("n", [61, 80, 200, 400])
+    def test_tukey_median_unchanged_by_sweep(self, n, monkeypatch):
+        # Rounded data put many points on lines through the data-point
+        # candidates, on both sides of them.
+        gen = np.random.default_rng(n)
+        x = np.round(3.0 * gen.standard_normal((n, 2)))
+        x[gen.random(n) < 0.2] = [4.0, -4.0]
+        cfg = SearchConfig(rng=RngStream(8))
+        swept = tukey_median(x, cfg)
+        monkeypatch.setattr(deepest_mod, "_tukey_sweep", lambda thetas, data: [
+            _tukey_exact_2d(t, data) for t in thetas])
+        assert np.array_equal(swept, tukey_median(x, cfg))
+
+    def test_one_shot_calls_up_to_midpoint_limit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("wrong exact p = 2 path")
+
+        gen = np.random.default_rng(47)
+        limit = deepest_mod._MIDPOINT_MAX_N
+        with monkeypatch.context() as m:
+            m.setattr(deepest_mod, "_tukey_sweep", fail)
+            tukey_median(gen.standard_normal((limit, 2)))
+        monkeypatch.setattr(deepest_mod, "tukey_depth", fail)
+        tukey_median(gen.standard_normal((limit + 1, 2)))
+
+
+def regression_depth_bruteforce(beta, x, y):
+    """Plain-python oracle of exact p = 2 regression depth for integer
+    designs and fits with exact residuals.
+
+    Directions are the integer normals +-(-x_k2, x_k1) of the nonzero rows
+    (the critical angles, where u'x_k is exactly 0) and the midpoint of
+    every arc between consecutive ones; a direction counts the points whose
+    score (u'x_i) r_i is >= 0.
+    """
+    rows = [tuple(r) for r in x.tolist()]
+    resid = [yi - (r[0] * beta[0] + r[1] * beta[1])
+             for r, yi in zip(rows, y.tolist())]
+    normals = set()
+    for a, b in rows:
+        if (a, b) != (0.0, 0.0):
+            g = math.gcd(int(a), int(b))
+            normals.update({(-b / g, a / g), (b / g, -a / g)})
+    angles = sorted(math.atan2(b, a) for a, b in normals)
+    dirs = list(normals)
+    for k, lo in enumerate(angles):
+        hi = angles[k + 1] if k + 1 < len(angles) else angles[0] + 2 * math.pi
+        dirs.append((math.cos(0.5 * (lo + hi)), math.sin(0.5 * (lo + hi))))
+    if not normals:
+        dirs = [(1.0, 0.0)]
+    best = len(rows)
+    for u in dirs:
+        count = sum((u[0] * r[0] + u[1] * r[1]) * e >= 0
+                    for r, e in zip(rows, resid))
+        best = min(best, count)
+    return best / len(rows)
+
+
+def regression_depth_directions(beta, x, y):
+    """Exact p = 2 regression depth of one fit, one score per point and
+    critical direction (the count the sign tables replace)."""
+    resid = y - x @ beta
+    tol_r = 1e-12 * max(1.0, np.abs(resid).max(initial=0.0))
+    resid = np.where(np.abs(resid) <= tol_r, 0.0, resid)
+    norms = np.linalg.norm(x, axis=1)
+    nz = norms > 1e-12 * max(1.0, norms.max(initial=0.0))
+    cand = depth_mod._candidate_angles(np.arctan2(x[nz, 1], x[nz, 0]))
+    xu = x @ np.stack([np.cos(cand), np.sin(cand)], axis=1).T
+    xu = np.where(np.abs(xu) <= 1e-12 * norms[:, None], 0.0, xu)
+    return float(np.sum(xu * resid[:, None] >= 0.0, axis=0).min()) / x.shape[0]
+
+
+def integer_regression_cases(seed):
+    """Integer designs with zero rows and integer responses; fits through
+    point pairs (often perfect for several points), integer and half-integer
+    fits, and one perfect fit of every point."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 14))
+    x = gen.integers(-3, 4, size=(n, 2)).astype(float)
+    x[gen.random(n) < 0.15] = 0.0
+    beta_true = gen.integers(-2, 3, size=2).astype(float)
+    y = x @ beta_true + gen.integers(-2, 3, size=n) * (gen.random(n) < 0.6)
+    betas = [beta_true, np.zeros(2)]
+    betas += list(0.5 * gen.integers(-4, 5, size=(12, 2)))
+    for _ in range(6):
+        i, j = gen.choice(n, size=2, replace=False)
+        try:
+            b = np.linalg.solve(x[[i, j]], y[[i, j]])
+        except np.linalg.LinAlgError:
+            continue
+        if np.allclose(b, np.round(2 * b) / 2):
+            betas.append(np.round(2 * b) / 2)
+    return x, y, np.array(betas), x @ beta_true
+
+
+class TestRegressionDepthP2:
+    def test_matches_bruteforce_on_integer_ties(self):
+        for seed in range(60):
+            x, y, betas, y_perfect = integer_regression_cases(seed)
+            expected = [regression_depth_bruteforce(b, x, y) for b in betas]
+            assert [regression_depth(b, x, y) for b in betas] == expected
+            assert _RegressionSigns(x, y).depths(betas).tolist() == expected
+            assert regression_depth(betas[0], x, y_perfect) == 1.0
+
+    def test_zero_rows_count_for_every_fit(self):
+        # Residuals +1, -1, +3 on the nonzero rows: u = (-1, 0.5) has every
+        # score negative, so only the two zero rows count.
+        x = np.array([[0, 0], [1, 0], [0, 1], [0, 0], [1, 1]], dtype=float)
+        y = np.array([9.0, 2.0, 0.0, -9.0, 5.0])
+        assert regression_depth([1.0, 1.0], x, y) == \
+            regression_depth_bruteforce([1.0, 1.0], x, y) == 2 / 5
+        assert regression_depth([0.0, 0.0], np.zeros((3, 2)), np.ones(3)) == 1.0
+
+    def test_perfect_fit_has_depth_one(self):
+        gen = np.random.default_rng(45)
+        x = np.column_stack([np.ones(30), gen.standard_normal(30)])
+        beta = np.array([0.7, -1.3])
+        assert regression_depth(beta, x, x @ beta) == 1.0
+
+    def test_batch_equals_one_shot(self):
+        gen = np.random.default_rng(46)
+        for n in (5, 40, 200):
+            z = gen.standard_normal(n)
+            x = np.column_stack([np.ones(n), z])
+            y = 1.0 + 2.0 * z + gen.standard_t(3, n)
+            pairs = [gen.choice(n, size=2, replace=False) for _ in range(40)]
+            betas = [np.linalg.solve(x[idx], y[idx]) for idx in pairs]
+            betas += list(gen.standard_normal((20, 2)))
+            batch = _RegressionSigns(x, y).depths(betas).tolist()
+            assert batch == [regression_depth(b, x, y) for b in betas]
+            assert batch == [regression_depth_directions(b, x, y) for b in betas]
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_deepest_regression_unchanged_by_sign_tables(self, n, monkeypatch):
+        gen = np.random.default_rng(n)
+        z = gen.standard_normal(n)
+        x = np.column_stack([np.ones(n), z])
+        y = 1.0 + 2.0 * z + gen.standard_t(3, n)
+        y[gen.random(n) < 0.2] = 15.0
+        cfg = SearchConfig(rng=RngStream(9))
+        tabled = deepest_regression(x, y, cfg)
+        monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
+            regression_depth_directions(b, self.x, self.y) for b in betas])
+        assert np.array_equal(tabled, deepest_regression(x, y, cfg))
 
 
 def sorted_counts(vals, path, monkeypatch):

@@ -238,6 +238,18 @@ class TestMm:
         trace = res.extras["objective_trace"]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(trace, trace[1:]))
 
+    def test_extras_record_s_start(self):
+        gen = np.random.default_rng(27)
+        clean = gen.standard_normal((60, 2))
+        dirty = clean.copy()
+        dirty[:12] = [6.0, -6.0]
+        for x in (clean, dirty):
+            rng = RngStream(28)
+            start = s_bisquare(x, rng=rng.child(1))
+            extras = mm(x, rng=rng).extras
+            assert extras["s_start_converged"] is start.converged
+            assert extras["s_start_iterations"] == start.iterations
+
     def test_clean_model_efficiency(self):
         # Quick version of the benchmark efficiency at p=2, n=50.
         gen = np.random.default_rng(24)
