@@ -1,12 +1,13 @@
 """Maximizers of the depth functions: deepest location, scatter, regression,
 and location-scale fits of a dataset.
 
-Exact enumeration is used wherever the empirical objective is piecewise
-constant over a known finite candidate set (univariate medians, the joint
-location-scale fit); elsewhere a deterministic seeded ascent over data-driven
-candidates with shrinking perturbations is used.  Accepted steps never
-decrease the (sampled or exact) depth, so the returned fit is always at
-least as deep as the initialization.
+Exact search is used wherever the empirical objective is piecewise constant
+over a known finite candidate set (univariate medians, the joint
+location-scale fit, whose monotone cell counts are bisected over each
+location's sorted distances); elsewhere a deterministic seeded ascent over
+data-driven candidates with shrinking perturbations is used.  Accepted steps
+never decrease the (sampled or exact) depth, so the returned fit is always
+at least as deep as the initialization.
 
 Ties are broken deterministically: first by depth, then by the documented
 secondary keys (smallest scale, closeness to the coordinatewise median,
@@ -19,8 +20,9 @@ location search is also bounded: the depth of a candidate is at most its
 minimum count over a few pool directions, and only candidates whose bound
 can still beat the incumbent are counted in full.  At p = 2 the exact depths
 of a batch come from an angular sweep (location) and from sign tables of the
-design (regression).  All give the fits of a count of one candidate at a
-time.
+design (regression), and the joint location-scale search bisects the
+scales of every candidate location at once.  All give the fits of a count
+of one candidate at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ProjectionDepth,
-                    _RegressionSigns, _SortedCounts, _tukey_sweep, as_dataset,
-                    build_directions, ls_depth2, regression_depth, tukey_depth)
+from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ls_tol,
+                    _ProjectionDepth, _RegressionSigns, _SortedCounts,
+                    _tukey_sweep, as_dataset, build_directions, ls_depth2,
+                    regression_depth, tukey_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -277,14 +280,44 @@ def deepest_locscale1(data):
     return mu, sigma
 
 
+def _first_true(pred, lo, hi):
+    """Per row, the first k in [lo, hi) where ``pred(k)`` holds, else hi.
+
+    ``pred`` maps an index array to a boolean array and must be monotone
+    (false, then true) on each row's range; it may see any index in
+    [lo, hi] and its values outside [lo, hi) are ignored.
+    """
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = pred(mid)
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid + 1, lo)
+
+
 def deepest_locscale2(data):
-    """Joint-depth deepest location-scale fit by exact enumeration.
+    """Joint-depth deepest location-scale fit, exact.
 
     The empirical objective is piecewise constant: candidate locations are
     the data values and midpoints of consecutive distinct values, and for
     each location the four cell counts change only where sigma crosses some
-    |x_i - mu|.  Ties are broken by smallest sigma, then smallest distance
-    of mu to the sample median, then smallest mu.
+    |x_i - mu| above the tie tolerance of :func:`~depthlab.depth.ls_depth2`.
+    Ties are broken by smallest sigma, then smallest distance of mu to the
+    sample median, then smallest mu.
+
+    No location scans all its scales.  At a fixed mu the inner count
+    A = min(#[mu-sigma, mu], #[mu, mu+sigma]) never decreases in sigma and
+    the outer count B = min(#(-inf, mu-sigma], #[mu+sigma, inf)) never
+    increases, also in floating point (mu -/+ sigma, the tolerance shifts
+    and the counts are all monotone).  So along sorted distances z, with k
+    the first index where A >= B, the best count is
+    max(A(z[k-1]), B(z[k])); its smallest scale is z[k] when
+    B(z[k]) > A(z[k-1]), else the first z where A reaches A(z[k-1]).  Both
+    indices are found by bisection.  The data are sorted, so the distances
+    on each side of mu are sorted already: every location bisects its two
+    sides, all locations at once, and the best (location, side) row wins.
     """
     x = as_dataset(data)
     if x.shape[1] != 1 or x.shape[0] < 4:
@@ -294,37 +327,51 @@ def deepest_locscale2(data):
     med = lower_median(y)
     distinct = np.unique(y)
     mus = np.concatenate([distinct, 0.5 * (distinct[:-1] + distinct[1:])])
-    span = max(1.0, float(distinct[-1] - distinct[0]))
-    tol = 1e-12 * span
+    tol = _ls_tol(y)
 
-    best = (np.inf, np.inf, np.inf, np.inf)  # (-depth, sigma, |mu - med|, mu)
-    best_fit = None
-    for mu in mus:
-        z = np.unique(np.abs(y - mu))
-        z = z[z > tol]
-        if z.size == 0:
-            continue
-        lo = mu - z
-        hi = mu + z
-        r_mu = np.searchsorted(y, mu + tol, side="right")
-        l_mu = np.searchsorted(y, mu - tol, side="left")
-        c1 = r_mu - np.searchsorted(y, lo - tol, side="left")
-        c2 = np.searchsorted(y, hi + tol, side="right") - l_mu
-        c3 = np.searchsorted(y, lo + tol, side="right")
-        c4 = n - np.searchsorted(y, hi - tol, side="left")
-        depth = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)) / n
-        j = int(np.lexsort((z, -depth))[0])   # max depth, then min sigma
-        key = (-depth[j], z[j], abs(mu - med), mu)
-        if key < best:
-            best = key
-            best_fit = (float(mu), float(z[j]))
-    if best_fit is None:
+    # Row r holds the distances |y[start + step * k] - mu|, k < size, of the
+    # points on one side of its location, in increasing order.
+    below = np.searchsorted(y, mus, side="left")
+    above = np.searchsorted(y, mus, side="right")
+    mu = np.concatenate([mus, mus])
+    start = np.concatenate([below - 1, above])
+    step = np.repeat([-1, 1], mus.size)
+    size = np.concatenate([below, n - above])
+    r_mu = np.searchsorted(y, mu + tol, side="right")
+    l_mu = np.searchsorted(y, mu - tol, side="left")
+
+    def dist(k):
+        return np.abs(y[np.clip(start + step * k, 0, n - 1)] - mu)
+
+    def counts(k):                      # (A, B) at scale dist(k)
+        z = dist(k)
+        lo, hi = mu - z, mu + z
+        inner = np.minimum(r_mu - np.searchsorted(y, lo - tol, side="left"),
+                           np.searchsorted(y, hi + tol, side="right") - l_mu)
+        outer = np.minimum(np.searchsorted(y, lo + tol, side="right"),
+                           n - np.searchsorted(y, hi - tol, side="left"))
+        return inner, outer
+
+    k0 = _first_true(lambda k: dist(k) > tol, np.zeros_like(size), size)
+    k_cross = _first_true(lambda k: np.greater_equal(*counts(k)), k0, size)
+    a_last = np.where(k_cross > k0, counts(k_cross - 1)[0], -1)
+    b_first = np.where(k_cross < size, counts(k_cross)[1], -1)
+    k_a = _first_true(lambda k: counts(k)[0] >= a_last, k0, k_cross)
+    k_best = np.where(b_first > a_last, k_cross, k_a)
+    count = np.maximum(a_last, b_first)          # -1: no scale above tol
+    if count.max() < 0:
         raise ValueError("no admissible scale candidate (degenerate data)")
+    sigma = dist(k_best)
+    # Max count, then min sigma, |mu - med| and mu (rows tied on all four
+    # hold the same fit).
+    r = int(np.lexsort((mu, np.abs(mu - med), sigma, -count))[0])
+    best_fit = (float(mu[r]), float(sigma[r]))
+    depth = count[r] / n
     # Exactness guard: the enumerated value must match the closed form.
     closed = ls_depth2(best_fit[0], best_fit[1], x)
-    if abs(closed + best[0]) >= 1e-12:
+    if abs(closed - depth) >= 1e-12:
         raise RuntimeError(f"deepest_locscale2: enumerated depth "
-                           f"{float(-best[0])!r} != closed-form ls_depth2 "
+                           f"{float(depth)!r} != closed-form ls_depth2 "
                            f"{float(closed)!r}")
     return best_fit
 

@@ -635,21 +635,26 @@ def _univariate(data):
     return x[:, 0]
 
 
-def _ls_tol(y, mu, sigma):
-    return _TIE_RTOL * max(1.0, abs(mu) + sigma, float(np.abs(y).max(initial=0.0)))
+def _ls_tol(y):
+    """Tie tolerance of the location-scale depths of ``y``: a cell boundary
+    mu -/+ sigma at a data point is rounded relative to that point, which is
+    at most max|y|.  One value per dataset keeps every count monotone in mu
+    and sigma (deepest_locscale2 relies on it)."""
+    return _TIE_RTOL * max(1.0, float(np.abs(y).max(initial=0.0)))
 
 
 def ls_depth1(mu, sigma, data):
     """Separate-parameters location-scale depth (closed empirical form).
 
     min over the location pair {P(y <= mu), P(y >= mu)} and the scale pair
-    {P(|y - mu| <= sigma), P(|y - mu| >= sigma)}.
+    {P(|y - mu| <= sigma), P(|y - mu| >= sigma)}.  Comparisons allow the
+    dataset's tie tolerance 1e-12 max(1, max|y|).
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     y = _univariate(data)
     n = y.size
-    tol = _ls_tol(y, mu, sigma)
+    tol = _ls_tol(y)
     z = np.abs(y - mu)
     loc = min(np.sum(y <= mu + tol), np.sum(y >= mu - tol))
     sca = min(np.sum(z <= sigma + tol), np.sum(z >= sigma - tol))
@@ -661,13 +666,14 @@ def ls_depth2(mu, sigma, data):
 
     min of the four cell probabilities P(mu-sigma <= y <= mu),
     P(mu <= y <= mu+sigma), P(y <= mu-sigma), P(y >= mu+sigma); boundary
-    points count in both adjacent cells.
+    points, within the dataset's tie tolerance 1e-12 max(1, max|y|), count
+    in both adjacent cells.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     y = _univariate(data)
     n = y.size
-    tol = _ls_tol(y, mu, sigma)
+    tol = _ls_tol(y)
     lo, hi = mu - sigma, mu + sigma
     cells = (
         np.sum((y >= lo - tol) & (y <= mu + tol)),

@@ -117,20 +117,77 @@ class TestDeepestLocScale1:
         assert sig2 == pytest.approx(sig, abs=1e-12)
 
 
+def locscale2_enumeration(y):
+    """Joint-depth deepest location-scale fit by scanning every scale of
+    every candidate location (the count deepest_locscale2 bisects)."""
+    y = np.sort(np.asarray(y, dtype=float).ravel())
+    n = y.size
+    med = lower_median(y)
+    distinct = np.unique(y)
+    mus = np.concatenate([distinct, 0.5 * (distinct[:-1] + distinct[1:])])
+    tol = depth_mod._ls_tol(y)
+    best = (np.inf, np.inf, np.inf, np.inf)  # (-depth, sigma, |mu - med|, mu)
+    best_fit = None
+    for mu in mus:
+        z = np.unique(np.abs(y - mu))
+        z = z[z > tol]
+        if z.size == 0:
+            continue
+        lo = mu - z
+        hi = mu + z
+        r_mu = np.searchsorted(y, mu + tol, side="right")
+        l_mu = np.searchsorted(y, mu - tol, side="left")
+        c1 = r_mu - np.searchsorted(y, lo - tol, side="left")
+        c2 = np.searchsorted(y, hi + tol, side="right") - l_mu
+        c3 = np.searchsorted(y, lo + tol, side="right")
+        c4 = n - np.searchsorted(y, hi - tol, side="left")
+        depth = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)) / n
+        j = int(np.lexsort((z, -depth))[0])   # max depth, then min sigma
+        key = (-depth[j], z[j], abs(mu - med), mu)
+        if key < best:
+            best = key
+            best_fit = (float(mu), float(z[j]))
+    if best_fit is None:
+        raise ValueError("no admissible scale candidate (degenerate data)")
+    return best_fit
+
+
+def locscale_cases(kind, gen):
+    """Univariate samples with ties of every kind deepest_locscale2 meets."""
+    n = int(gen.integers(4, 61))
+    if kind == "integer ties":
+        return gen.integers(-3, 4, n).astype(float)
+    if kind == "point mass":
+        y = gen.standard_normal(n)
+        y[: n // 3] = 2.5
+        return y
+    if kind == "heavy tails":
+        return 1e3 * gen.standard_cauchy(n)
+    if kind == "n = 4":
+        return np.round(gen.standard_normal(4), 1)
+    if kind == "adjacent floats":   # midpoints round onto data values
+        base = gen.integers(-2, 3, n) + 0.1 * gen.integers(0, 3)
+        return base + gen.integers(0, 3, n) * np.spacing(base)
+    if kind == "shifted":
+        return 1e3 + 1e-8 * gen.standard_normal(n)
+    raise ValueError(kind)
+
+
 class TestDeepestLocScale2:
     def grid_oracle(self, y):
+        """Max ls_depth2 over the candidate grid and its first (mu, sigma)
+        by smallest sigma, then |mu - median|, then mu."""
         y = np.asarray(y, dtype=float)
-        best = (-1.0, None)
-        span = y.max() - y.min()
+        med = lower_median(y)
+        tol = depth_mod._ls_tol(y)
+        grid = []
         mus = np.unique(np.concatenate([y, 0.5 * (np.sort(y)[:-1] + np.sort(y)[1:])]))
         for mu in mus:
             for sig in np.unique(np.abs(y - mu)):
-                if sig <= 1e-12 * max(1.0, span):
-                    continue
-                d = ls_depth2(mu, sig, y)
-                if d > best[0]:
-                    best = (d, (mu, sig))
-        return best
+                if sig > tol:
+                    grid.append((-ls_depth2(mu, sig, y), sig, abs(mu - med), mu))
+        key = min(grid)
+        return -key[0], (float(key[3]), float(key[1]))
 
     def test_matches_grid_maximum(self):
         gen = np.random.default_rng(14)
@@ -139,8 +196,38 @@ class TestDeepestLocScale2:
             if np.unique(y).size < 3:
                 continue
             mu, sig = deepest_locscale2(y)
-            oracle_depth, _ = self.grid_oracle(y)
+            oracle_depth, oracle_fit = self.grid_oracle(y)
             assert ls_depth2(mu, sig, y) == pytest.approx(oracle_depth, abs=1e-12)
+            assert (mu, sig) == oracle_fit
+
+    def test_shifted_data_attains_grid_maximum(self):
+        # ls_depth2's tie tolerance is relative to max|y| (1e-9 near 1e3);
+        # a fit enumerated with a span-relative 1e-12 disagreed with it.
+        gen = np.random.default_rng(49)
+        for shift, spread in ((1e3, 1e-8), (1e6, 1e-5)):
+            for n in (6, 25, 60):
+                y = shift + spread * gen.standard_normal(n)
+                mu, sig = deepest_locscale2(y)
+                oracle_depth, oracle_fit = self.grid_oracle(y)
+                assert ls_depth2(mu, sig, y) == oracle_depth
+                assert (mu, sig) == oracle_fit
+
+    @pytest.mark.parametrize("kind", ["integer ties", "point mass",
+                                      "heavy tails", "n = 4",
+                                      "adjacent floats", "shifted"])
+    def test_matches_enumeration(self, kind):
+        gen = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            y = locscale_cases(kind, gen)
+            assert deepest_locscale2(y) == locscale2_enumeration(y)
+
+    def test_constant_data_raises_like_enumeration(self):
+        y = np.full(7, 3.0)
+        with pytest.raises(ValueError, match="no admissible scale") as enum:
+            locscale2_enumeration(y)
+        with pytest.raises(ValueError) as fit:
+            deepest_locscale2(y)
+        assert str(fit.value) == str(enum.value)
 
     def test_gaussian_consistency(self):
         gen = np.random.default_rng(15)
