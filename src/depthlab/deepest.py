@@ -18,11 +18,11 @@ whole batch at once.  The sampled searches sort its projections once and
 count by bisection (:class:`~depthlab.depth._SortedCounts`).  The sampled
 location search is also bounded: the depth of a candidate is at most its
 minimum count over a few pool directions, and only candidates whose bound
-can still beat the incumbent are counted in full.  At p = 2 the exact depths
-of a batch come from an angular sweep (location) and from sign tables of the
-design (regression), and the joint location-scale search bisects the
-scales of every candidate location at once.  All give the fits of a count
-of one candidate at a time.
+can still beat the incumbent are counted in full.  At p = 2 the exact
+location depths of a batch come from an angular sweep, the regression
+depths at every p >= 2 from sign tables of the design, and the joint
+location-scale search bisects the scales of every candidate location at
+once.  All give the fits of a count of one candidate at a time.
 """
 
 from __future__ import annotations
@@ -380,15 +380,40 @@ def deepest_locscale2(data):
 # Deepest regression (single response)
 # ---------------------------------------------------------------------------
 
+def _subset_fits(x, y, subsets):
+    """Exact fits through the rows of each p-subset, in subset order;
+    subsets with a singular or non-finite solve are skipped.
+
+    One stacked solve gives, fit for fit, the values of a solve per subset.
+    A single singular system makes the stack raise; then each subset is
+    solved alone, so the skips are those of the per-subset loop.
+    """
+    a, b = x[subsets], y[subsets]
+    try:
+        fits = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        fits = []
+        for ai, bi in zip(a, b):
+            try:
+                fits.append(np.linalg.solve(ai, bi))
+            except np.linalg.LinAlgError:
+                continue
+        fits = np.reshape(fits, (-1, x.shape[1]))
+    return fits[np.all(np.isfinite(fits), axis=1)]
+
+
 def deepest_regression(x, y, cfg=None):
     """Deepest regression fit for a single response.
 
-    Candidates are exact fits through p-subsets of observations plus
+    Candidates are the least-squares fit, exact fits through p-subsets of
+    observations (every pair at p = 2 and n <= 60, else seeded draws), and
     shrinking perturbations around the incumbent; the depth of each
-    candidate is exact for p <= 2 and direction-sampled otherwise.  At
-    p = 2 the subset batch and each ascent round are counted against sign
-    tables of the design built once
-    (:class:`~depthlab.depth._RegressionSigns`).
+    candidate is exact for p <= 2 and direction-sampled otherwise.  The
+    subset fits come from one stacked solve.  At every p >= 2 the subset
+    batch and each ascent round are counted against float32 sign tables of
+    the design built once (:class:`~depthlab.depth._RegressionSigns`; exact
+    counts for n < 2^24), which give the depths of
+    :func:`~depthlab.depth.regression_depth`.
     """
     x = as_dataset(x)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -401,14 +426,13 @@ def deepest_regression(x, y, cfg=None):
         raise ValueError("degenerate design: covariates lie in a hyperplane through 0")
     cfg = cfg or SearchConfig()
 
-    if p == 2:
-        depths = _RegressionSigns(x, yv).depths
-    else:
-        dirs = None if p == 1 else unit_directions(
-            _DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
-
+    if p == 1:
         def depths(betas):
-            return [regression_depth(b, x, yv, dirs=dirs) for b in betas]
+            return [regression_depth(b, x, yv) for b in betas]
+    else:
+        dirs = None if p == 2 else unit_directions(
+            _DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
+        depths = _RegressionSigns(x, yv, dirs).depths
 
     cands = [np.linalg.lstsq(x, yv, rcond=None)[0]]
     gen = cfg.rng.child(32).generator()
@@ -418,23 +442,16 @@ def deepest_regression(x, y, cfg=None):
     else:
         max_subsets = 300 if n <= 60 else 1000
         if p == 2 and n <= 60:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            subsets = [(i, j) for i in range(n) for j in range(i + 1, n)]
         else:
-            pairs = [tuple(gen.choice(n, size=p, replace=False))
-                     for _ in range(max_subsets)]
-        for idx in pairs:
-            a = x[list(idx)]
-            b = yv[list(idx)]
-            try:
-                sol = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(sol)):
-                cands.append(sol)
+            subsets = [gen.choice(n, size=p, replace=False)
+                       for _ in range(max_subsets)]
+        cands.extend(_subset_fits(x, yv, np.array(subsets)))
+    cands = np.array(cands)
 
     vals = depths(cands)
     best_idx = int(np.argmax(vals))
-    best, best_val = np.asarray(cands[best_idx], float).copy(), vals[best_idx]
+    best, best_val = cands[best_idx].copy(), vals[best_idx]
     if best_val >= 1.0:
         return best
 

@@ -4,10 +4,11 @@ Empirical depths are computed against a dataset (rows = observations).  For
 p <= 2 the Tukey and regression depths have an exact combinatorial mode; in
 higher dimension the infimum over the sphere is approximated by seeded
 direction sampling, which always upper-bounds the exact value.  At p = 2 the
-one-shot functions count every combinatorially distinct halfplane; the
-deepest-fit searches count a whole batch of candidates at once, with an
-angular sweep for Tukey depth (Rousseeuw & Ruts, Applied Statistics 1996)
-and sign tables of the design for regression depth, and get the same depths.
+one-shot Tukey depth counts every combinatorially distinct halfplane; the
+deepest-location search counts a whole batch of candidates at once with an
+angular sweep (Rousseeuw & Ruts, Applied Statistics 1996) and gets the same
+depths.  Regression depth at every p >= 2, exact or sampled, one fit or a
+batch, is counted against float32 sign tables of the design.
 
 Tie handling follows the non-strict inequalities of the definitions: points
 sitting exactly on a boundary are counted on both sides.  Comparisons use a
@@ -471,48 +472,70 @@ def _check_regression(x, y):
     return x, y
 
 
-def _zeroed_residuals(y, x, beta):
-    """y - x beta, with residuals within the tie tolerance set to 0."""
-    resid = y - x @ beta
-    tol = _TIE_RTOL * max(1.0, np.abs(resid).max(initial=0.0))
-    return np.where(np.abs(resid) <= tol, 0.0, resid)
+def _fit_residuals(x, y, betas):
+    """Residuals of the fits ``betas`` (one per row) as a (fits, n) array.
+
+    The stacked product runs one matrix-vector product per fit, the one
+    that ``y - x @ beta`` runs, so every value equals it bit for bit; a
+    single matrix product (``betas @ x.T`` or an einsum) rounds differently.
+    """
+    return y - (x @ betas[:, :, None])[..., 0]
 
 
 class _RegressionSigns:
-    """Exact p = 2 regression depth of many fits against one design.
+    """Regression depth of many fits against one design: exact at p = 2
+    without a direction pool, and the minimum over the pool ``dirs`` at
+    every p.
 
-    The critical directions u (normals to the rows of x, and the midpoints
-    of the arcs between them) and the signs of x'u beyond the tolerance
-    depend only on the design, so the 0/1 tables P = [x'u > 0] and
-    N = [x'u < 0] are built once.  The score (u'x_i) r_i is negative
-    exactly when the residual r_i has the sign opposite to u'x_i, so per
-    direction n - (R+ N + R- P) scores are nonnegative, where R+ and R- are
-    the 0/1 rows of positive and negative residuals; one product
-    [R+ R-] [N; P] gives both terms.  The 0/1 products are exact in
-    floating point.
+    The score (u'x_i) r_i is negative exactly when the residual r_i has the
+    sign opposite to u'x_i.  The signs of x'u beyond the tolerance depend
+    only on the design, so the 0/1 tables P = [x'u > tol] and
+    N = [x'u < -tol] are built once.  Per direction n - (R+ N + R- P)
+    scores are nonnegative, where R+ and R- are the 0/1 rows of positive
+    and negative residuals; one product [R+ R-] [N; P] gives both terms.
+
+    Without a pool (p = 2) the directions are the critical ones, the
+    normals to the rows of x and the midpoints of the arcs between them,
+    with a tolerance of 1e-12 |x_i| per row.  A pool is used with the
+    antipode of each direction and a tolerance of 1e-12 max(1, max_i
+    |u'x_i|) per direction, so that each direction u counts
+    min(#{score <= 0}, #{score >= 0}), an upper bound on the exact depth.
+
+    Residuals come from :func:`_fit_residuals`, equal to y - x @ beta, and
+    those within 1e-12 max(1, max_i |r_i|) of 0 count on both sides.  Tables
+    and sign rows are float32: every partial sum of the product is an
+    integer of at most n, so the counts are exact for n < 2^24, and the
+    tables take half the memory of float64.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, dirs=None):
         self.x, self.y = x, y
-        norms = np.linalg.norm(x, axis=1)
-        scale = max(1.0, norms.max(initial=0.0))
-        nz = norms > _TIE_RTOL * scale
-        cand = _candidate_angles(np.arctan2(x[nz, 1], x[nz, 0]))
-        u = np.stack([np.cos(cand), np.sin(cand)], axis=1)
-        xu = x @ u.T                                  # (n, K)
-        tol = _TIE_RTOL * norms[:, None]
-        self.table = np.vstack([xu < -tol, xu > tol]).astype(float)  # [N; P]
+        if dirs is None:
+            norms = np.linalg.norm(x, axis=1)
+            scale = max(1.0, norms.max(initial=0.0))
+            nz = norms > _TIE_RTOL * scale
+            cand = _candidate_angles(np.arctan2(x[nz, 1], x[nz, 0]))
+            xu = x @ np.stack([np.cos(cand), np.sin(cand)], axis=1).T  # (n, K)
+            tol = _TIE_RTOL * norms[:, None]
+        else:
+            xu = x @ np.asarray(dirs, dtype=float).T
+            xu = np.hstack([xu, -xu])                                  # u, -u
+            tol = _TIE_RTOL * np.maximum(1.0, np.abs(xu).max(axis=0))
+        self.table = np.vstack([xu < -tol, xu > tol]).astype(np.float32)
 
     def depths(self, betas):
-        """Depths of the fits ``betas``, counted ``_FIT_BLOCK`` at a time
-        to bound the memory of the (fits, directions) counts."""
+        """Depths of the fits ``betas`` (one per row), counted
+        ``_FIT_BLOCK`` at a time to bound the memory of the (fits,
+        directions) counts."""
+        betas = np.asarray(betas, dtype=float)
         n = self.x.shape[0]
         out = np.empty(len(betas))
         for lo in range(0, len(betas), _FIT_BLOCK):
-            r = np.array([_zeroed_residuals(self.y, self.x, b)
-                          for b in betas[lo:lo + _FIT_BLOCK]])
-            wrong = np.hstack([r > 0.0, r < 0.0]) @ self.table   # (C, K)
-            out[lo:lo + len(r)] = (n - wrong.max(axis=1)) / n
+            r = _fit_residuals(self.x, self.y, betas[lo:lo + _FIT_BLOCK])
+            tol = _TIE_RTOL * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
+            signs = np.hstack([r > tol, r < -tol]).astype(np.float32)
+            wrong = (signs @ self.table).max(axis=1)                  # (C,)
+            out[lo:lo + len(r)] = (n - wrong.astype(float)) / n
         return out
 
 
@@ -520,9 +543,9 @@ def regression_depth(beta, x, y, dirs=None):
     """Univariate-response regression depth of the fit ``beta``.
 
     inf over nonzero u of P( (u'x_i) * (y_i - beta'x_i) >= 0 ); exact
-    enumeration for p <= 2 without a direction pool (at p = 2 a batch of
-    one for :class:`_RegressionSigns`), otherwise the minimum over the
-    sampled directions ``dirs``.
+    enumeration for p <= 2 without a direction pool, otherwise the minimum
+    over the sampled directions ``dirs``.  Every p >= 2 and every pool is a
+    batch of one for :class:`_RegressionSigns`.
     """
     x, y = _check_regression(x, y)
     if y.shape[1] != 1:
@@ -530,21 +553,17 @@ def regression_depth(beta, x, y, dirs=None):
     y = y[:, 0]
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     n, p = x.shape
-    if dirs is None and p == 2:
-        return float(_RegressionSigns(x, y).depths([beta])[0])
-    resid = _zeroed_residuals(y, x, beta)
+    if beta.shape != (p,):
+        raise ValueError("beta dimension does not match x")
     if dirs is None and p == 1:
-        s = x[:, 0] * resid
+        resid = y - x @ beta
+        tol = _TIE_RTOL * max(1.0, np.abs(resid).max(initial=0.0))
+        s = x[:, 0] * np.where(np.abs(resid) <= tol, 0.0, resid)
         tol = _TIE_RTOL * max(1.0, np.abs(s).max(initial=0.0))
         return min(np.sum(s >= -tol), np.sum(-s >= -tol)) / n
-    if dirs is None or len(dirs) == 0:
+    if (dirs is None and p > 2) or (dirs is not None and len(dirs) == 0):
         raise ValueError("sampled regression depth needs a direction pool")
-    u = np.asarray(dirs, dtype=float)
-    xu = x @ u.T
-    tol = _TIE_RTOL * np.maximum(1.0, np.abs(xu).max(axis=0))
-    xu = np.where(np.abs(xu) <= tol, 0.0, xu)
-    scores = xu * resid[:, None]
-    return float(_two_sided_counts(scores, 0.0, 0.0).min()) / n
+    return float(_RegressionSigns(x, y, dirs).depths(beta[None])[0])
 
 
 def default_mvreg_candidates(x, y, b, rng, per_cell=200):

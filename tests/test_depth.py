@@ -6,11 +6,14 @@ from scipy.special import ndtr
 
 import depthlab.deepest as deepest_mod
 import depthlab.depth as depth_mod
-from depthlab.deepest import SearchConfig, deepest_regression, tukey_median
+from depthlab.deepest import (SearchConfig, _subset_fits, deepest_regression,
+                              tukey_median)
 from depthlab.depth import (
+    _DIRECTIONS_PER_DIM,
     _ProjectionDepth,
     _RegressionSigns,
     _SortedCounts,
+    _fit_residuals,
     _tukey_exact_2d,
     _tukey_sweep,
     _two_sided_counts,
@@ -366,6 +369,140 @@ class TestRegressionDepthP2:
         monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
             regression_depth_directions(b, self.x, self.y) for b in betas])
         assert np.array_equal(tabled, deepest_regression(x, y, cfg))
+
+
+def regression_depth_sampled(beta, x, y, dirs):
+    """Sampled regression depth of one fit, one score per point and pool
+    direction: min over u of min(#{score <= 0}, #{score >= 0}) (the count
+    the sign tables with antipodes replace)."""
+    resid = y - x @ beta
+    tol_r = 1e-12 * max(1.0, np.abs(resid).max(initial=0.0))
+    resid = np.where(np.abs(resid) <= tol_r, 0.0, resid)
+    xu = x @ np.asarray(dirs, dtype=float).T
+    tol = 1e-12 * np.maximum(1.0, np.abs(xu).max(axis=0))
+    xu = np.where(np.abs(xu) <= tol, 0.0, xu)
+    scores = xu * resid[:, None]
+    return float(_two_sided_counts(scores, 0.0, 0.0).min()) / x.shape[0]
+
+
+def subset_fits_loop(x, y, subsets):
+    """One solve per subset, skipping singular and non-finite fits (the loop
+    the stacked solve replaces)."""
+    fits = []
+    for idx in subsets:
+        try:
+            sol = np.linalg.solve(x[list(idx)], y[list(idx)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(sol)):
+            fits.append(sol)
+    return np.reshape(fits, (-1, x.shape[1]))
+
+
+def integer_pool_cases(seed, p):
+    """Integer designs with duplicate rows, zero rows and rows shrunk to
+    1e-13 (inside the per-direction tolerance, outside a per-row one),
+    responses with zero residuals and a point mass at 7; fits through
+    p-subsets, integer and half-integer fits; a pool of sampled directions
+    plus integer directions on which some u'x_i are exactly 0."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(p + 2, 30))
+    x = gen.integers(-2, 3, size=(n, p)).astype(float)
+    x[gen.random(n) < 0.1] = 0.0
+    x[gen.random(n) < 0.1] *= 1e-13
+    beta_true = gen.integers(-2, 3, size=p).astype(float)
+    y = x @ beta_true + gen.integers(-1, 2, size=n) * (gen.random(n) < 0.5)
+    y[gen.random(n) < 0.25] = 7.0
+    subsets = np.array([gen.choice(n, size=p, replace=False) for _ in range(8)])
+    betas = np.vstack([beta_true, np.zeros(p),
+                       0.5 * gen.integers(-4, 5, size=(10, p)),
+                       _subset_fits(x, y, subsets)])
+    ints = gen.integers(-1, 2, size=(6, p)).astype(float)
+    ints = ints[np.any(ints != 0.0, axis=1)]
+    dirs = np.vstack([unit_directions(40, p, RngStream(seed)),
+                      ints / np.linalg.norm(ints, axis=1)[:, None]])
+    return x, y, betas, dirs
+
+
+class TestRegressionSignsSampled:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_per_fit_count_on_integer_ties(self, p):
+        for seed in range(30):
+            x, y, betas, dirs = integer_pool_cases(seed, p)
+            expected = [regression_depth_sampled(b, x, y, dirs) for b in betas]
+            assert _RegressionSigns(x, y, dirs).depths(betas).tolist() == expected
+            assert [regression_depth(b, x, y, dirs=dirs)
+                    for b in betas] == expected
+
+    @pytest.mark.parametrize("n", [30, 80])
+    def test_deepest_regression_p3_unchanged_by_sign_tables(self, n,
+                                                             monkeypatch):
+        gen = np.random.default_rng(n)
+        z = gen.standard_normal((n, 2))
+        x = np.column_stack([np.ones(n), z])
+        y = 1.0 + z @ [2.0, -1.0] + gen.standard_t(3, n)
+        y[gen.random(n) < 0.2] = 15.0
+        cfg = SearchConfig(rng=RngStream(9))
+        tabled = deepest_regression(x, y, cfg)
+        dirs = unit_directions(_DIRECTIONS_PER_DIM * 3, 3, cfg.rng.child(31))
+        monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
+            regression_depth_sampled(b, self.x, self.y, dirs) for b in betas])
+        assert np.array_equal(tabled, deepest_regression(x, y, cfg))
+
+    def test_rejects_mismatched_beta_and_missing_pool(self):
+        x = np.ones((4, 3))
+        with pytest.raises(ValueError):
+            regression_depth([1.0, 2.0], x, np.zeros(4), dirs=np.eye(3))
+        with pytest.raises(ValueError):
+            regression_depth([1.0, 2.0, 3.0], x, np.zeros(4))
+
+
+class TestFitResiduals:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_equals_per_fit_product(self, p):
+        gen = np.random.default_rng(60 + p)
+        for intercept in (True, False):
+            n = 150
+            x = gen.standard_normal((n, p)) * 10.0 ** gen.uniform(-3, 3)
+            if intercept:
+                x[:, 0] = 1.0
+            y = gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 3)
+            betas = gen.standard_normal((300, p)) * 10.0 ** gen.uniform(
+                -3, 3, (1, p))
+            expected = np.array([y - x @ b for b in betas])
+            assert np.array_equal(_fit_residuals(x, y, betas), expected)
+
+
+class TestSubsetFits:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_stacked_solve_equals_per_subset_solve(self, p):
+        gen = np.random.default_rng(70 + p)
+        for intercept in (True, False):
+            n = 120
+            x = gen.standard_normal((n, p))
+            if intercept:
+                x[:, 0] = 1.0
+            y = x @ gen.standard_normal(p) + gen.standard_t(3, n)
+            subsets = np.array([gen.choice(n, size=p, replace=False)
+                                for _ in range(500)])
+            fits = _subset_fits(x, y, subsets)
+            assert fits.shape == (500, p)
+            assert np.array_equal(fits, subset_fits_loop(x, y, subsets))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_singular_subsets_fall_back_to_the_loop(self, p):
+        gen = np.random.default_rng(80 + p)
+        n = 25
+        x = np.column_stack([np.ones(n), gen.integers(-2, 3, (n, p - 1))])
+        y = gen.integers(-3, 4, n).astype(float)
+        subsets = np.array([gen.choice(n, size=p, replace=False)
+                            for _ in range(300)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(x[subsets], y[subsets][..., None])
+        fits = _subset_fits(x, y, subsets)
+        expected = subset_fits_loop(x, y, subsets)
+        assert 0 < len(expected) < len(subsets)
+        assert np.array_equal(fits, expected)
 
 
 def sorted_counts(vals, path, monkeypatch):
