@@ -1,16 +1,17 @@
 """Benchmark the working tree against a parent commit, in alternating pairs.
 
-    python3 scripts/bench_pair.py --out BENCH_18.json \\
+    python3 scripts/bench_pair.py --parent 94ebf77 --out BENCH_18.json \\
         --seeds fits_p2_exact=1,2,3,41,42,43,44,45,46,47,48,49 \\
         --seeds grid_p2_n20=1,2,3 --seeds grid_p5=1,2,3 \\
         --trace fits_p2_exact=1,2,3
 
-The committed files of ``--parent`` (default HEAD) are exported with
+The committed files of the ``--parent`` revision are exported with
 ``git archive`` into a temporary directory, so the parent side measures
 exactly what that commit holds and the repository gains no worktree entry.
-``perfbench/run.py`` then runs from each tree with the same arguments, one
-run at a time.  For the i-th seed of a workload the parent runs first when
-i is even and the working tree runs first when i is odd.
+``perfbench/run.py`` then runs from each tree with the same arguments and
+the ``run_seconds`` of BENCHMARK.json, one run at a time.  For the i-th
+seed of a workload the parent runs first when i is even and the working
+tree runs first when i is odd.
 
 The output file has the layout of BENCH_14.json: ``what``, ``command``,
 ``machine`` (from the first run), ``summary`` and ``runs``.  Per workload
@@ -144,17 +145,16 @@ def summarize(runs, end_to_end):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="output JSON file")
-    ap.add_argument("--parent", default="HEAD", help="git revision")
+    ap.add_argument("--parent", required=True,
+                    help="git revision the working tree is compared with")
     ap.add_argument("--seeds", action="append", default=[],
                     metavar="WORKLOAD=S1,S2", help="untraced pairs")
     ap.add_argument("--trace", action="append", default=[],
                     metavar="WORKLOAD=S1,S2", help="traced pairs")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     plan = [(w, s, 0) for w, seeds in parse_seeds(args.seeds).items()
             for s in seeds]
     plan += [(w, s, 1) for w, seeds in parse_seeds(args.trace).items()

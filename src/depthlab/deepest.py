@@ -410,9 +410,9 @@ def deepest_regression(x, y, cfg=None):
     shrinking perturbations around the incumbent; the depth of each
     candidate is exact for p <= 2 and direction-sampled otherwise.  The
     subset fits come from one stacked solve.  At every p >= 2 the subset
-    batch and each ascent round are counted against float32 sign tables of
-    the design built once (:class:`~depthlab.depth._RegressionSigns`; exact
-    counts for n < 2^24), which give the depths of
+    batch and each ascent round are counted against sign tables of the
+    design built once (:class:`~depthlab.depth._RegressionSigns`; float32,
+    with exact counts, up to n = 2^24), which give the depths of
     :func:`~depthlab.depth.regression_depth`.
     """
     x = as_dataset(x)

@@ -54,6 +54,7 @@ _SORTED_MIN_N = 30            # from this n on, bisection beats comparing all
 _PROBE_COLUMNS = 64           # pool columns of the upper bound in pruning
 _ARC_TOL = 2e-12              # sweep: 1e-12 rad of tolerance at each end of an arc
 _FIT_BLOCK = 128              # regression fits counted per product
+_F32_EXACT = 2 ** 24          # float32 holds every integer up to this
 
 
 def as_dataset(data):
@@ -496,20 +497,22 @@ class _RegressionSigns:
 
     Without a pool (p = 2) the directions are the critical ones, the
     normals to the rows of x and the midpoints of the arcs between them,
-    with a tolerance of 1e-12 |x_i| per row.  A pool is used with the
-    antipode of each direction and a tolerance of 1e-12 max(1, max_i
-    |u'x_i|) per direction, so that each direction u counts
-    min(#{score <= 0}, #{score >= 0}), an upper bound on the exact depth.
+    with a tolerance of 1e-12 |x_i| per row.  With a pool the tolerance is
+    1e-12 max(1, max_i |u'x_i|) per direction, and each direction u counts
+    min(#{score <= 0}, #{score >= 0}), an upper bound on the exact depth:
+    the tables of -u are those of u with N and P swapped, so the swapped
+    rows [R- R+] against the same table count the scores of -u.
 
     Residuals come from :func:`_fit_residuals`, equal to y - x @ beta, and
     those within 1e-12 max(1, max_i |r_i|) of 0 count on both sides.  Tables
-    and sign rows are float32: every partial sum of the product is an
-    integer of at most n, so the counts are exact for n < 2^24, and the
-    tables take half the memory of float64.
+    and sign rows are float32 up to n = 2^24 (every partial sum of the
+    product is an integer of at most n, which float32 holds exactly) and
+    float64 beyond.
     """
 
     def __init__(self, x, y, dirs=None):
         self.x, self.y = x, y
+        self.pool = dirs is not None
         if dirs is None:
             norms = np.linalg.norm(x, axis=1)
             scale = max(1.0, norms.max(initial=0.0))
@@ -519,9 +522,9 @@ class _RegressionSigns:
             tol = _TIE_RTOL * norms[:, None]
         else:
             xu = x @ np.asarray(dirs, dtype=float).T
-            xu = np.hstack([xu, -xu])                                  # u, -u
             tol = _TIE_RTOL * np.maximum(1.0, np.abs(xu).max(axis=0))
-        self.table = np.vstack([xu < -tol, xu > tol]).astype(np.float32)
+        dtype = np.float32 if x.shape[0] <= _F32_EXACT else np.float64
+        self.table = np.vstack([xu < -tol, xu > tol]).astype(dtype)  # [N; P]
 
     def depths(self, betas):
         """Depths of the fits ``betas`` (one per row), counted
@@ -533,8 +536,12 @@ class _RegressionSigns:
         for lo in range(0, len(betas), _FIT_BLOCK):
             r = _fit_residuals(self.x, self.y, betas[lo:lo + _FIT_BLOCK])
             tol = _TIE_RTOL * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
-            signs = np.hstack([r > tol, r < -tol]).astype(np.float32)
-            wrong = (signs @ self.table).max(axis=1)                  # (C,)
+            pos, neg = r > tol, r < -tol
+            signs = np.hstack([pos, neg])                        # [R+ R-]
+            if self.pool:
+                signs = np.vstack([signs, np.hstack([neg, pos])])  # and -u
+            wrong = signs.astype(self.table.dtype) @ self.table
+            wrong = wrong.reshape(-1, len(r), wrong.shape[1]).max(axis=(0, 2))
             out[lo:lo + len(r)] = (n - wrong.astype(float)) / n
         return out
 

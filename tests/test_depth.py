@@ -374,7 +374,7 @@ class TestRegressionDepthP2:
 def regression_depth_sampled(beta, x, y, dirs):
     """Sampled regression depth of one fit, one score per point and pool
     direction: min over u of min(#{score <= 0}, #{score >= 0}) (the count
-    the sign tables with antipodes replace)."""
+    the pool sign tables replace)."""
     resid = y - x @ beta
     tol_r = 1e-12 * max(1.0, np.abs(resid).max(initial=0.0))
     resid = np.where(np.abs(resid) <= tol_r, 0.0, resid)
@@ -448,6 +448,20 @@ class TestRegressionSignsSampled:
         monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
             regression_depth_sampled(b, self.x, self.y, dirs) for b in betas])
         assert np.array_equal(tabled, deepest_regression(x, y, cfg))
+
+    def test_float64_tables_beyond_float32_exact_counts(self, monkeypatch):
+        # Designs with more rows than float32 counts exactly get float64
+        # tables and the same depths; the bound is lowered to reach them.
+        for seed, p in ((0, 2), (1, 3)):
+            x, y, betas, dirs = integer_pool_cases(seed, p)
+            pool = None if p == 2 else dirs
+            single = _RegressionSigns(x, y, pool)
+            monkeypatch.setattr(depth_mod, "_F32_EXACT", x.shape[0] - 1)
+            double = _RegressionSigns(x, y, pool)
+            monkeypatch.undo()
+            assert single.table.dtype == np.float32
+            assert double.table.dtype == np.float64
+            assert np.array_equal(single.depths(betas), double.depths(betas))
 
     def test_rejects_mismatched_beta_and_missing_pool(self):
         x = np.ones((4, 3))
