@@ -17,8 +17,11 @@ The output file has the layout of BENCH_14.json: ``what``, ``command``,
 ``machine`` (from the first run), ``summary`` and ``runs``.  Per workload
 the summary gives, for every end-to-end metric of BENCHMARK.json, each
 side's median and quartiles (``statistics.quantiles``, inclusive) and how
-many pairs the change won, ties counting for neither; for grid workloads
-how many passes both sides ran with equal ``records_sha256``; and for
+many pairs the change won, ties counting for neither; each side's failed
+share (``failed`` of ``attempted`` fits or calls, summed over those seeds);
+for grid workloads how many passes both sides ran with equal
+``records_sha256`` and each side's pass count per seed (a faster side
+reaches later passes, whose datasets the other side never fits); and for
 traced runs the per-module metrics that are nonzero on either side.
 """
 
@@ -34,6 +37,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
 
 
 def parse_seeds(items):
@@ -96,32 +100,40 @@ def summarize(runs, end_to_end):
         mine = [r for r in runs if r["workload"] == workload]
         timed = [r for r in mine if r["trace"] == 0 and r["result"]]
         seeds = list(dict.fromkeys(r["seed"] for r in timed))
+        done = {side: {r["seed"]: r for r in timed if r["side"] == side}
+                for side in SIDES}
+        common = [s for s in seeds if s in done["parent"] and s in done["change"]]
         entry = {}
-        for metric in end_to_end:
-            name = metric["name"]
-            by_side = {side: {r["seed"]: r["result"]["metrics"][name]["value"]
-                              for r in timed if r["side"] == side}
-                       for side in ("parent", "change")}
-            common = [s for s in seeds
-                      if s in by_side["parent"] and s in by_side["change"]]
-            if not common:
-                continue
-            sign = 1.0 if metric["better"] == "higher" else -1.0
-            wins = sum(sign * (by_side["change"][s] - by_side["parent"][s]) > 0
-                       for s in common)
-            entry[name] = {side: spread([by_side[side][s] for s in common])
-                           for side in ("parent", "change")}
-            entry[name]["change_wins"] = f"{wins} of {len(common)}"
+        if common:
+            for metric in end_to_end:
+                name = metric["name"]
+                values = {side: [done[side][s]["result"]["metrics"][name]
+                                 ["value"] for s in common] for side in SIDES}
+                sign = 1.0 if metric["better"] == "higher" else -1.0
+                wins = sum(sign * (c - p) > 0
+                           for p, c in zip(values["parent"], values["change"]))
+                entry[name] = {side: spread(values[side]) for side in SIDES}
+                entry[name]["change_wins"] = f"{wins} of {len(common)}"
+            entry["failed_share"] = {}
+            for side in SIDES:
+                failed, attempted = (sum(done[side][s]["result"][k]
+                                         for s in common)
+                                     for k in ("failed", "attempted"))
+                entry["failed_share"][side] = {
+                    "failed": failed, "attempted": attempted,
+                    "share": round(failed / attempted, 6)}
         if any(r["records_sha256"] for r in timed):
             equal = total = 0
-            for s in seeds:
-                sides = [r["records_sha256"] for r in timed if r["seed"] == s]
-                if len(sides) == 2:
-                    for label in sides[0].keys() & sides[1].keys():
-                        total += 1
-                        equal += sides[0][label] == sides[1][label]
+            for s in common:
+                digests = [done[side][s]["records_sha256"] for side in SIDES]
+                for label in digests[0].keys() & digests[1].keys():
+                    total += 1
+                    equal += digests[0][label] == digests[1][label]
             entry["records_equal_on_common_passes"] = \
                 f"{equal} of {total} passes"
+            entry["passes_per_seed"] = {
+                side: {str(s): len(r["records_sha256"])
+                       for s, r in done[side].items()} for side in SIDES}
         entry["correct"] = all(r["result"] and r["result"]["correct"]
                                for r in mine)
         entry["seeds"] = seeds

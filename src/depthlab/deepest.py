@@ -34,7 +34,7 @@ import numpy as np
 from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ls_tol,
                     _ProjectionDepth, _RegressionSigns, _SortedCounts,
                     _tukey_sweep, as_dataset, build_directions, ls_depth2,
-                    regression_depth, tukey_depth)
+                    regression_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -54,8 +54,7 @@ _MAX_ITERATIONS = 100
 _STEP_SHRINK = 0.5
 _TOLERANCE = 1e-3
 
-# Up to this n the location search also tries every pairwise midpoint, and
-# at p = 2 counts each candidate with a one-shot exact tukey_depth call.
+# Up to this n the location search also tries every pairwise midpoint.
 _MIDPOINT_MAX_N = 60
 
 
@@ -84,13 +83,12 @@ def tukey_median(data, cfg=None):
     ascends through data points, pairwise midpoints (n <= 60), and shrinking
     Gaussian perturbations.  Each batch moves to its first deepest
     candidate, and an ascent round only when that candidate is strictly
-    deeper than the incumbent.  At p = 2 and n <= 400 the depth is exact:
-    one :func:`~depthlab.depth.tukey_depth` call per candidate up to n = 60,
-    above that an angular sweep of the whole batch
-    (:func:`~depthlab.depth._tukey_sweep`), which gives the same depths.
-    With sampled depth, :meth:`~depthlab.depth._ProjectionDepth.best` skips
-    the candidates whose upper bound rules them out, so the result is the
-    one an exhaustive argmax gives.
+    deeper than the incumbent.  At p = 2 and n <= 400 the depth is exact,
+    counted for the whole batch by one angular sweep
+    (:func:`~depthlab.depth._tukey_sweep`).  With sampled depth,
+    :meth:`~depthlab.depth._ProjectionDepth.best` skips the candidates whose
+    upper bound rules them out, so the result is the one an exhaustive
+    argmax gives.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -98,10 +96,7 @@ def tukey_median(data, cfg=None):
     if p == 1:
         return np.array([lower_median(x[:, 0])])
 
-    if p == 2 and n <= _MIDPOINT_MAX_N:
-        def best_above(cands, floor):
-            return _first_max_above([tukey_depth(c, x) for c in cands], floor)
-    elif p == 2 and n <= 400:
+    if p == 2 and n <= 400:
         def best_above(cands, floor):
             return _first_max_above(_tukey_sweep(cands, x), floor)
     else:

@@ -3,12 +3,12 @@
 Empirical depths are computed against a dataset (rows = observations).  For
 p <= 2 the Tukey and regression depths have an exact combinatorial mode; in
 higher dimension the infimum over the sphere is approximated by seeded
-direction sampling, which always upper-bounds the exact value.  At p = 2 the
-one-shot Tukey depth counts every combinatorially distinct halfplane; the
-deepest-location search counts a whole batch of candidates at once with an
-angular sweep (Rousseeuw & Ruts, Applied Statistics 1996) and gets the same
-depths.  Regression depth at every p >= 2, exact or sampled, one fit or a
-batch, is counted against float32 sign tables of the design.
+direction sampling, which always upper-bounds the exact value.  At p = 2
+the exact Tukey depth, of one point or of the deepest-location search's
+whole batch of candidates, comes from one angular sweep (Rousseeuw & Ruts,
+Applied Statistics 1996).  Regression depth at every p >= 2, exact or
+sampled, one fit or a batch, is counted against float32 sign tables of the
+design.
 
 Tie handling follows the non-strict inequalities of the definitions: points
 sitting exactly on a boundary are counted on both sides.  Comparisons use a
@@ -137,7 +137,8 @@ def tukey_depth_1d(theta, data):
 
 
 def _candidate_angles(angles):
-    """Critical normal angles plus the midpoints of every open arc."""
+    """Regression depth's critical directions at p = 2: the normals to the
+    design rows at ``angles`` plus the midpoints of every open arc."""
     crit = np.concatenate([angles + 0.5 * np.pi, angles - 0.5 * np.pi])
     crit = np.sort(np.mod(crit, 2.0 * np.pi))
     crit = np.unique(crit)
@@ -149,33 +150,16 @@ def _candidate_angles(angles):
     return np.concatenate([crit, mids])
 
 
-def _tukey_exact_2d(theta, x):
-    z = x - theta
-    norms = np.linalg.norm(z, axis=1)
-    scale = max(1.0, norms.max(initial=0.0))
-    at_theta = norms <= _TIE_RTOL * scale
-    zz = z[~at_theta]
-    n = x.shape[0]
-    n_zero = int(np.sum(at_theta))
-    if zz.shape[0] == 0:
-        return 1.0
-    cand = _candidate_angles(np.arctan2(zz[:, 1], zz[:, 0]))
-    u = np.stack([np.cos(cand), np.sin(cand)], axis=1)
-    proj = zz @ u.T                      # (n_nz, n_cand)
-    tol = _TIE_RTOL * np.linalg.norm(zz, axis=1)[:, None]
-    counts = np.sum(proj <= tol, axis=0) + n_zero
-    return float(counts.min()) / n
-
-
 def _tukey_sweep(thetas, x):
-    """Exact p = 2 halfspace depths of the rows of ``thetas``, as
-    :func:`_tukey_exact_2d` gives them, in O(n log n) per candidate.
+    """Exact p = 2 halfspace depths of the rows of ``thetas``, in
+    O(n log n) per candidate.
 
-    Rows within the tolerance of theta are dropped and count in every
-    halfplane.  Around theta the others sit at angles a; a closed halfplane
-    through theta holds the points of an arc of length pi, and the fewest it
-    can hold is min over j of #{a_i in (a_j, a_j + pi]}, found by sorting
-    the angles once and searching the doubled circle.  The arc is closed by
+    Rows within 1e-12 max(1, max_i |x_i - theta|) of theta are dropped and
+    count in every halfplane; when every row is dropped the depth is 1.
+    Around theta the others sit at angles a; a closed halfplane through
+    theta holds the points of an arc of length pi, and the fewest it can
+    hold is min over j of #{a_i in (a_j, a_j + pi]}, found by sorting the
+    angles once and searching the doubled circle.  The arc is closed by
     ``_ARC_TOL`` past pi, as the projection tolerance counts points within
     1e-12 rad of the boundary line on both sides.
     """
@@ -306,9 +290,10 @@ class _ProjectionDepth:
 def tukey_depth(theta, data, dirs=None):
     """Halfspace depth of ``theta``: inf over directions of P(u'X <= u'theta).
 
-    For p <= 2 without a direction pool the exact combinatorial infimum is
-    returned; otherwise the minimum over the supplied pool ``dirs``, with
-    each direction evaluated along both u and -u.
+    For p <= 2 without a direction pool the exact infimum is returned, at
+    p = 2 as a batch of one for :func:`_tukey_sweep`; otherwise the minimum
+    over the supplied pool ``dirs``, with each direction evaluated along
+    both u and -u.
     """
     x = as_dataset(data)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -318,7 +303,7 @@ def tukey_depth(theta, data, dirs=None):
     if p == 1:
         return tukey_depth_1d(theta[0], x)
     if p == 2 and dirs is None:
-        return _tukey_exact_2d(theta, x)
+        return float(_tukey_sweep(theta[None], x)[0])
     if dirs is None or len(dirs) == 0:
         raise ValueError("sampled halfspace depth needs a nonempty direction pool")
     u = np.asarray(dirs, dtype=float)

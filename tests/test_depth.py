@@ -14,7 +14,6 @@ from depthlab.depth import (
     _RegressionSigns,
     _SortedCounts,
     _fit_residuals,
-    _tukey_exact_2d,
     _tukey_sweep,
     _two_sided_counts,
     build_directions,
@@ -172,6 +171,22 @@ def pair_midpoints(x):
     return 0.5 * (x[i] + x[j])
 
 
+def _tukey_exact_2d(theta, x):
+    """Exact p = 2 halfspace depth of one point, one projection per point
+    and critical direction (the count the angular sweep replaces)."""
+    z = x - theta
+    norms = np.linalg.norm(z, axis=1)
+    at_theta = norms <= 1e-12 * max(1.0, norms.max(initial=0.0))
+    zz = z[~at_theta]
+    if zz.shape[0] == 0:
+        return 1.0
+    cand = depth_mod._candidate_angles(np.arctan2(zz[:, 1], zz[:, 0]))
+    proj = zz @ np.stack([np.cos(cand), np.sin(cand)], axis=1).T
+    tol = 1e-12 * np.linalg.norm(zz, axis=1)[:, None]
+    counts = np.sum(proj <= tol, axis=0) + np.sum(at_theta)
+    return float(counts.min()) / x.shape[0]
+
+
 def assert_sweep_is_exact(thetas, x):
     expected = [_tukey_exact_2d(t, x) for t in thetas]
     assert _tukey_sweep(thetas, x).tolist() == expected
@@ -185,6 +200,8 @@ class TestTukeySweep:
             thetas = np.vstack([gen.standard_normal((30, 2)), x[:20],
                                 x.mean(axis=0), [[40.0, -3.0]]])
             assert_sweep_is_exact(thetas, x)
+            assert [tukey_depth(t, x) for t in thetas] == \
+                [_tukey_exact_2d(t, x) for t in thetas]
 
     def test_integer_ties(self):
         # Integer points through integer and half-integer centres: many
@@ -225,7 +242,7 @@ class TestTukeySweep:
         z = gen.standard_normal((30, 2))
         assert_sweep_is_exact(pair_midpoints(z), z)
 
-    @pytest.mark.parametrize("n", [61, 80, 200, 400])
+    @pytest.mark.parametrize("n", [20, 60, 61, 80, 200, 400])
     def test_tukey_median_unchanged_by_sweep(self, n, monkeypatch):
         # Rounded data put many points on lines through the data-point
         # candidates, on both sides of them.
@@ -238,17 +255,31 @@ class TestTukeySweep:
             _tukey_exact_2d(t, data) for t in thetas])
         assert np.array_equal(swept, tukey_median(x, cfg))
 
-    def test_one_shot_calls_up_to_midpoint_limit(self, monkeypatch):
+    def test_sweep_counts_every_exact_search(self, monkeypatch):
+        # Up to n = 400 the sweep counts every candidate, midpoints included
+        # (n <= 60); above it the sampled pool does.
         def fail(*args):
-            raise AssertionError("wrong exact p = 2 path")
+            raise AssertionError("wrong p = 2 location count")
+
+        swept = []
+
+        def sweep(thetas, data):
+            swept.append(len(thetas))
+            return _tukey_sweep(thetas, data)
 
         gen = np.random.default_rng(47)
-        limit = deepest_mod._MIDPOINT_MAX_N
+        monkeypatch.setattr(depth_mod, "tukey_depth", fail)
+        monkeypatch.setattr(deepest_mod, "tukey_depth", fail, raising=False)
         with monkeypatch.context() as m:
-            m.setattr(deepest_mod, "_tukey_sweep", fail)
-            tukey_median(gen.standard_normal((limit, 2)))
-        monkeypatch.setattr(deepest_mod, "tukey_depth", fail)
-        tukey_median(gen.standard_normal((limit + 1, 2)))
+            m.setattr(deepest_mod, "_tukey_sweep", sweep)
+            m.setattr(deepest_mod, "_ProjectionDepth", fail)
+            for n in (20, 60, 400):
+                swept.clear()
+                tukey_median(gen.standard_normal((n, 2)))
+                assert swept[0] == 2 + min(n, 200) + (
+                    n * (n - 1) // 2 if n <= deepest_mod._MIDPOINT_MAX_N else 0)
+        monkeypatch.setattr(deepest_mod, "_tukey_sweep", fail)
+        tukey_median(gen.standard_normal((401, 2)))
 
 
 def regression_depth_bruteforce(beta, x, y):
@@ -320,6 +351,27 @@ def integer_regression_cases(seed):
     return x, y, np.array(betas), x @ beta_true
 
 
+def near_parallel_case(gen, delta, angle=0.7):
+    """Rows at ``angle``, ``angle + delta`` and ``angle + 2 delta``, a row
+    1e-13 rad from the negative of the first, and (with ``gen``) 2 to 11
+    Gaussian rows; a fit through the second and fourth rows, with residuals
+    +1 and -1 on the first and third."""
+    def at(a):
+        return np.array([np.cos(a), np.sin(a)])
+
+    rows = [at(angle), 2.0 * at(angle + delta), 0.5 * at(angle + 2 * delta),
+            -1.3 * at(angle + 1e-13)]
+    if gen is not None:
+        rows += list(gen.standard_normal((int(gen.integers(2, 12)), 2)))
+    x = np.array(rows)
+    beta = np.array([0.3, -0.2])
+    y = x @ beta
+    y[[0, 2]] += [1.0, -1.0]
+    if gen is not None:
+        y[4:] += gen.standard_normal(x.shape[0] - 4)
+    return x, y, beta
+
+
 class TestRegressionDepthP2:
     def test_matches_bruteforce_on_integer_ties(self):
         for seed in range(60):
@@ -356,6 +408,31 @@ class TestRegressionDepthP2:
             batch = _RegressionSigns(x, y).depths(betas).tolist()
             assert batch == [regression_depth(b, x, y) for b in betas]
             assert batch == [regression_depth_directions(b, x, y) for b in betas]
+
+    @pytest.mark.parametrize("delta", [1e-13, 1e-12, 1.5e-12, 1.9e-12])
+    def test_near_parallel_and_antipodal_rows(self, delta):
+        # Critical angles closer than the 1e-12 rad row tolerance on either
+        # side: near-parallel rows, and a row next to the negative of another.
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            x, y, beta = near_parallel_case(gen, delta)
+            pairs = np.column_stack(np.triu_indices(x.shape[0], k=1))
+            betas = np.vstack([beta, _subset_fits(x, y, pairs),
+                               gen.standard_normal((10, 2))])
+            assert _RegressionSigns(x, y).depths(betas).tolist() == [
+                regression_depth_directions(b, x, y) for b in betas]
+
+    def test_critical_column_alone_can_set_the_minimum(self, monkeypatch):
+        # Rows 1.5e-12 rad apart and a fit through the middle one: at the
+        # middle row's normal the outer two rows score on opposite sides,
+        # while every arc midpoint has one of them inside the tolerance.
+        x, y, beta = near_parallel_case(None, 1.5e-12)
+        assert _RegressionSigns(x, y).depths(beta[None]).tolist() == \
+            [regression_depth_directions(beta, x, y)] == [2 / 4]
+        angles = depth_mod._candidate_angles
+        monkeypatch.setattr(depth_mod, "_candidate_angles",
+                            lambda a: angles(a)[len(angles(a)) // 2:])
+        assert regression_depth_directions(beta, x, y) == 3 / 4
 
     @pytest.mark.parametrize("n", [20, 200])
     def test_deepest_regression_unchanged_by_sign_tables(self, n, monkeypatch):
