@@ -21,9 +21,8 @@ def record(side, seed, throughput=None, p50=None, digests=None, trace=0,
     result = None
     if throughput is not None:
         result = {"correct": True, "failed": failed, "attempted": attempted,
-                  "metrics": {
-            "throughput_per_s": {"value": throughput},
-            "task_p50_s": {"value": p50}}}
+                  "metrics": {"throughput_per_s": {"value": throughput},
+                              "task_p50_s": {"value": p50}}}
     return {"workload": workload, "seed": seed, "trace": trace, "side": side,
             "records_sha256": digests or {}, "result": result}
 
