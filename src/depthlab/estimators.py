@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy import stats
 
 from .deepest import SearchConfig, deepest_scatter, tukey_median
 from .depth import as_dataset
 from .maxbias import BETA, SQRT_BETA
-from .numerics import (RngStream, _mahal_sq, _singular_spectrum, m_scale,
-                       unit_directions)
+from .numerics import (RngStream, _mahal_sq, _mahal_sq_stack,
+                       _singular_spectrum, m_scale, unit_directions)
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -67,6 +68,7 @@ _ITER_TOL = 1e-9
 
 _SUBSETS = 500                # elemental starts of MVE and MCD
 _CSTEPS = 20                  # concentration steps per MCD start
+_STACK_BYTES = 1 << 18        # one (starts, n, p) float64 stack of C-steps
 _DELTA = 0.5                  # S-estimator breakdown point
 _ROCKE_ALPHA = 0.1            # tail probability that sets Rocke's band
 _REWEIGHT_PASSES = 2
@@ -222,16 +224,21 @@ def _mm_tuning_constant(p):
 # Helpers
 # ---------------------------------------------------------------------------
 
+def _chol_gates(cov):
+    """Cholesky factors of a matrix or a stack of matrices, and which of them
+    are trustworthy SPD: factorable, with a smallest/largest diagonal ratio
+    above _CHOL_RTOL.  Where ``np.linalg.cholesky`` would raise, the factor
+    is NaN, so one bad matrix does not stop the stack."""
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(cov)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    return chol, diag.min(axis=-1) > _CHOL_RTOL * diag.max(axis=-1)
+
+
 def _chol_gate(cov):
     """Cholesky factor of a trustworthy SPD matrix, else None."""
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(chol)
-    if diag.min() <= _CHOL_RTOL * diag.max():
-        return None
-    return chol
+    chol, ok = _chol_gates(cov)
+    return chol if ok else None
 
 
 def _mean_cov(rows):
@@ -397,6 +404,14 @@ def mcd(data, rng=None):
     and recomputes mean and covariance; the determinant never increases.
     The h-subset covariance is rescaled by the standard chi-square
     consistency factor for coverage h/n.
+
+    The starts are drawn one after another, each degenerate start regrown
+    from the same stream.  Their concentration steps then run in lockstep
+    (:func:`_concentrate`), in blocks of starts whose ``(starts, n, p)``
+    stack stays within _STACK_BYTES, so memory is bounded at every size.
+    The winner is the first start, in draw order, with the smallest
+    determinant: every number equals that of running the starts one by
+    one, whatever the block size.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -406,40 +421,28 @@ def mcd(data, rng=None):
     gen = rng.generator()
     h = (n + p + 1) // 2
 
-    best = None
+    mus, covs = [], []
     for _ in range(_SUBSETS):
         size = p + 1
         idx = gen.choice(n, size=size, replace=False)
         mu, cov = _mean_cov(x[idx])
+        ok = _chol_gate(cov) is not None
         # Grow degenerate starts until the covariance is trustworthy.
-        while _chol_gate(cov) is None and size < min(n, 4 * (p + 1)):
+        while not ok and size < min(n, 4 * (p + 1)):
             size += p
             idx = gen.choice(n, size=min(size, n), replace=False)
             mu, cov = _mean_cov(x[idx])
-        if _chol_gate(cov) is None:
-            continue
-        old_det = np.inf
-        trace = []
-        it = 0
-        for it in range(_CSTEPS):
-            d = _mahal_sq(x, mu, cov)
-            if d is None:
-                break
-            keep = np.argpartition(d, h - 1)[:h]
-            mu, cov = _mean_cov(x[keep])
-            chol = _chol_gate(cov)
-            if chol is None:
-                break
-            det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            trace.append(det)
-            if det >= old_det - 1e-12:
-                old_det = min(det, old_det)
-                break
-            old_det = det
-        if not np.isfinite(old_det) or old_det == np.inf:
-            continue
-        if best is None or old_det < best[0]:
-            best = (old_det, mu, cov, it + 1, trace)
+            ok = _chol_gate(cov) is not None
+        if ok:
+            mus.append(mu)
+            covs.append(cov)
+    best = None
+    block = max(1, _STACK_BYTES // (8 * n * p))
+    for lo in range(0, len(mus), block):
+        got = _concentrate(x, np.array(mus[lo:lo + block]),
+                           np.array(covs[lo:lo + block]), h)
+        if got is not None and (best is None or got[0] < best[0]):
+            best = got
     if best is None:
         raise ValueError("all MCD starts were degenerate")
     _, mu, cov, iters, det_trace = best
@@ -451,6 +454,48 @@ def mcd(data, rng=None):
     return EstimatorResult("MCD", mu, 0.5 * (cov + cov.T), iterations=iters,
                            converged=True, singular=_is_singular(cov),
                            extras={"h": h, "logdet_trace": det_trace})
+
+
+def _concentrate(x, mu, cov, h):
+    """Concentration steps of a block of MCD starts, all in one stack.
+
+    A start stops when its distances cannot be solved, when its new h-subset
+    covariance fails :func:`_chol_gate` (keeping that subset's mean and
+    covariance, but the previous log-determinant), when its log-determinant
+    stops falling, or after _CSTEPS steps.  Returns the block's first start
+    with the smallest final log-determinant as ``(logdet, mu, cov, steps,
+    logdet trace)``, or None when no start passed a step.
+    """
+    m = len(mu)
+    old = np.full(m, np.inf)
+    dets = np.full((m, _CSTEPS), np.nan)
+    steps = np.full(m, _CSTEPS)
+    live = np.arange(m)
+    for it in range(_CSTEPS):
+        d, ok = _mahal_sq_stack(x, mu[live], cov[live])
+        steps[live[~ok]] = it + 1
+        live, d = live[ok], d[ok]
+        rows = x[np.argpartition(d, h - 1, axis=1)[:, :h]]
+        mu[live] = mean = rows.mean(axis=1)
+        z = rows - mean[:, None, :]
+        cov[live] = scatter = z.transpose(0, 2, 1) @ z / h
+        chol, ok = _chol_gates(scatter)
+        steps[live[~ok]] = it + 1
+        live, chol = live[ok], chol[ok]
+        det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        dets[live, it] = det
+        stop = det >= old[live] - 1e-12
+        old[live] = np.where(stop, np.minimum(det, old[live]), det)
+        steps[live[stop]] = it + 1
+        live = live[~stop]
+        if not live.size:
+            break
+    b = int(np.argmin(old))
+    if old[b] == np.inf:
+        return None
+    trace = dets[b]
+    return (old[b], mu[b].copy(), cov[b].copy(), int(steps[b]),
+            trace[~np.isnan(trace)].tolist())
 
 
 # ---------------------------------------------------------------------------

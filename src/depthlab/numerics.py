@@ -144,6 +144,29 @@ def _mahal_sq(x, mu, cov):
     return np.maximum(np.einsum("ij,ji->i", z, sol), 0.0)
 
 
+def _mahal_sq_stack(x, mu, cov):
+    """:func:`_mahal_sq` for a stack of locations ``(m, p)`` and scatters
+    ``(m, p, p)``: the distances ``(m, n)`` and a mask of the scatters that
+    were solvable.  Rows outside the mask are zero.
+
+    One exactly singular scatter makes the stacked solve raise for all of
+    them, so the stack is then redone one scatter at a time.
+    """
+    z = x - mu[:, None, :]
+    try:
+        sol = np.linalg.solve(cov, z.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:
+        d = np.zeros((len(mu), len(x)))
+        ok = np.zeros(len(mu), dtype=bool)
+        for b in range(len(mu)):
+            row = _mahal_sq(x, mu[b], cov[b])
+            if row is not None:
+                d[b], ok[b] = row, True
+        return d, ok
+    d = np.maximum(np.einsum("bij,bji->bi", z, sol), 0.0)
+    return d, np.ones(len(d), dtype=bool)
+
+
 def mahalanobis_sq(x, mu, sigma):
     """Squared Mahalanobis distance ``(x - mu)' Sigma^{-1} (x - mu)``.
 

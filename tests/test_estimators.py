@@ -7,9 +7,18 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from depthlab import estimators
 from depthlab.estimators import (
+    _CSTEPS,
+    _SUBSETS,
     ESTIMATOR_IDS,
+    EstimatorResult,
     _bisquare_scale_constant,
+    _chi2_reweight,
+    _chol_gate,
+    _is_singular,
+    _mean_cov,
+    _median_distance_rescale,
     _rocke_scale_constant,
     mcd,
     mdepth_estimator,
@@ -29,7 +38,7 @@ from depthlab.estimators import (
     weight_shr,
 )
 from depthlab.maxbias import BETA, scatter_eigen_bounds
-from depthlab.numerics import RngStream, _mahal_sq
+from depthlab.numerics import RngStream, _mahal_sq, _mahal_sq_stack
 from depthlab.simlab import (ContaminationSpec, _estimator_stream_key,
                              _one_replicate, gen_contaminated, replicate_seed)
 
@@ -118,6 +127,192 @@ class TestMve:
         r2 = mve(x + shift, rng=RngStream(7))
         assert np.allclose(r1.location + shift, r2.location, atol=1e-8)
         assert np.allclose(r1.scatter, r2.scatter, atol=1e-8)
+
+
+def mcd_reference(data, rng):
+    """Fast-MCD with each start's concentration steps in a loop of its own:
+    the reference of the lockstep steps of :func:`mcd`."""
+    x = np.asarray(data, dtype=float)
+    n, p = x.shape
+    if n <= p + 1:
+        raise ValueError("need n > p + 1")
+    gen = rng.generator()
+    h = (n + p + 1) // 2
+    best = None
+    for _ in range(_SUBSETS):
+        size = p + 1
+        idx = gen.choice(n, size=size, replace=False)
+        mu, cov = _mean_cov(x[idx])
+        while _chol_gate(cov) is None and size < min(n, 4 * (p + 1)):
+            size += p
+            idx = gen.choice(n, size=min(size, n), replace=False)
+            mu, cov = _mean_cov(x[idx])
+        if _chol_gate(cov) is None:
+            continue
+        old_det = np.inf
+        trace = []
+        it = 0
+        for it in range(_CSTEPS):
+            d = _mahal_sq(x, mu, cov)
+            if d is None:
+                break
+            keep = np.argpartition(d, h - 1)[:h]
+            mu, cov = _mean_cov(x[keep])
+            chol = _chol_gate(cov)
+            if chol is None:
+                break
+            det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            trace.append(det)
+            if det >= old_det - 1e-12:
+                old_det = min(det, old_det)
+                break
+            old_det = det
+        if old_det == np.inf:
+            continue
+        if best is None or old_det < best[0]:
+            best = (old_det, mu, cov, it + 1, trace)
+    if best is None:
+        raise ValueError("all MCD starts were degenerate")
+    _, mu, cov, iters, det_trace = best
+    alpha = h / n
+    factor = stats.chi2.cdf(stats.chi2.ppf(alpha, p), p + 2) / alpha
+    cov = _median_distance_rescale(x, mu, cov / factor)
+    mu, cov = _chi2_reweight(x, mu, cov)
+    return EstimatorResult("MCD", mu, 0.5 * (cov + cov.T), iterations=iters,
+                           singular=_is_singular(cov),
+                           extras={"h": h, "logdet_trace": det_trace})
+
+
+def assert_mcd_matches_reference(x, rng):
+    """Every output of :func:`mcd` equals the reference's, or both raise the
+    same error."""
+    def outcome(fit):
+        try:
+            res = fit(x, rng=rng)
+        except ValueError as exc:
+            return str(exc)
+        return (res.location, res.scatter, res.iterations,
+                res.extras["logdet_trace"])
+
+    want, got = outcome(mcd_reference), outcome(mcd)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
+def grid_replicate(seed, k, estimator_id="MCD", p=2, n=20, epsilon=0.2):
+    """Replicate 0 of a simulate cell and the estimator's stream, as
+    :func:`simlab._one_replicate` builds them."""
+    spec = ContaminationSpec(p=p, n=n, epsilon=epsilon, k=k, seed=seed)
+    rspec = replace(spec, seed=replicate_seed(spec, 0))
+    return gen_contaminated(rspec), RngStream(rspec.seed).child(
+        _estimator_stream_key(estimator_id))
+
+
+# Replicate 0 of the two grid_p2_n20 benchmark cells with a flagged MCD row:
+# pass 4 of seed 2 (config seed 2004) at k = 15 and pass 2 of seed 4 (4002)
+# at k = 25, both at epsilon = 0.2.
+FLAGGED_MCD_CELLS = [(2004, 15), (4002, 25)]
+
+
+class TestMcdLockstep:
+    @pytest.mark.parametrize("seed,k", FLAGGED_MCD_CELLS)
+    def test_flagged_benchmark_rows(self, seed, k):
+        x, rng = grid_replicate(seed, k)
+        (rec,) = _one_replicate((ContaminationSpec(2, 20, 0.2, k, seed),
+                                 ["MCD"], 0))
+        assert rec.flag
+        assert_mcd_matches_reference(x, rng)
+
+    @pytest.mark.parametrize("p,n,eps", [(2, 8, 0.0), (2, 20, 0.45),
+                                         (3, 30, 0.2), (5, 50, 0.2),
+                                         (10, 25, 0.2), (10, 60, 0.0)])
+    def test_matches_reference(self, p, n, eps):
+        gen = np.random.default_rng(100 * p + n)
+        x = gen.standard_normal((n, p))
+        x[: int(eps * n)] = 5.0
+        assert_mcd_matches_reference(x, RngStream(n))
+
+    @pytest.mark.parametrize("p,n", [(2, 20), (3, 40), (5, 50)])
+    def test_integer_ties(self, p, n):
+        gen = np.random.default_rng(p + n)
+        x = np.round(1.5 * gen.standard_normal((n, p)))
+        x[: n // 5] = 2.0
+        assert_mcd_matches_reference(x, RngStream(p))
+
+    @pytest.mark.parametrize("x", [np.ones((20, 3)), np.zeros((10, 2)),
+                                   np.tile([[0.0, 1.0], [1.0, 2.0]], (6, 1))])
+    def test_degenerate_data_raise_alike(self, x):
+        with pytest.raises(ValueError, match="all MCD starts were degenerate"):
+            mcd(x, rng=RngStream(3))
+        assert_mcd_matches_reference(x, RngStream(3))
+
+    def test_singular_stack_falls_back(self, monkeypatch):
+        # Replicate 0 of seed 1, k = 1: one stacked solve meets an exactly
+        # singular scatter and is redone one start at a time.
+        raised = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(a.ndim)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x, rng = grid_replicate(1, 1)
+        assert_mcd_matches_reference(x, rng)
+        assert 3 in raised
+
+    @pytest.mark.parametrize("starts", [1, 7, 64])
+    def test_blocks_leave_outputs_unchanged(self, monkeypatch, starts):
+        # Blocks of 1, 7 and 64 starts: 500 starts leave a last block of 3
+        # or 52 that is not full.
+        x, rng = grid_replicate(1, 5, p=3, n=30)
+        monkeypatch.setattr(estimators, "_STACK_BYTES", 8 * 30 * 3 * starts)
+        assert_mcd_matches_reference(x, rng)
+
+    @pytest.mark.xfail(strict=True, reason="a C-step whose covariance fails "
+                       "the gate stops after overwriting the start's mean "
+                       "and covariance, so the best start pairs that "
+                       "rejected h-subset with the previous determinant")
+    @pytest.mark.parametrize("seed,k", FLAGGED_MCD_CELLS)
+    def test_raw_best_passes_gate(self, monkeypatch, seed, k):
+        x, rng = grid_replicate(seed, k)
+        blocks = []
+        concentrate = estimators._concentrate
+
+        def spy(*args):
+            blocks.append(concentrate(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(estimators, "_concentrate", spy)
+        mcd(x, rng=rng)
+        best = min((b for b in blocks if b is not None), key=lambda b: b[0])
+        assert _chol_gate(best[2]) is not None
+
+
+def test_stacked_distances_fall_back_on_singular_scatter():
+    # An exactly singular scatter makes the stacked solve raise; the others'
+    # distances still equal _mahal_sq's, and the singular one is masked.
+    gen = np.random.default_rng(41)
+    x = gen.standard_normal((30, 3))
+    mu = gen.standard_normal((4, 3))
+    cov = np.stack([np.cov(gen.standard_normal((10, 3)).T) for _ in range(4)])
+    cov[2] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(cov, (x - mu[:, None, :]).transpose(0, 2, 1))
+    d, ok = _mahal_sq_stack(x, mu, cov)
+    assert ok.tolist() == [True, True, False, True]
+    assert _mahal_sq(x, mu[2], cov[2]) is None
+    for b in (0, 1, 3):
+        assert np.array_equal(d[b], _mahal_sq(x, mu[b], cov[b]))
+    d_ok, ok_all = _mahal_sq_stack(x, mu[ok], cov[ok])
+    assert ok_all.all() and np.array_equal(d_ok, d[ok])
 
 
 class TestMcd:
