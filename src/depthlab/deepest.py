@@ -18,7 +18,10 @@ whole batch at once.  The sampled searches sort its projections once and
 count by bisection (:class:`~depthlab.depth._SortedCounts`).  The sampled
 location search is also bounded: the depth of a candidate is at most its
 minimum count over a few pool directions, and only candidates whose bound
-can still beat the incumbent are counted in full.  At p = 2 the exact
+can still beat the incumbent are counted in full.  The scatter ascent
+screens the same way: a candidate is counted in full only when its counts
+over a probe set of directions do not already show that it scores lower
+than the incumbent.  At p = 2 the exact
 location depths of a batch come from an angular sweep, the regression
 depths at every p >= 2 from sign tables of the design, and the joint
 location-scale search bisects the scales of every candidate location at
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_DIRECTIONS_PER_DIM, _data_directions, _ls_tol,
-                    _ProjectionDepth, _RegressionSigns, _SortedCounts,
+from .depth import (_DIRECTIONS_PER_DIM, _PROBE_COLUMNS, _data_directions,
+                    _ls_tol, _ProjectionDepth, _RegressionSigns, _SortedCounts,
                     _tukey_sweep, as_dataset, build_directions, ls_depth2,
                     regression_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
@@ -181,6 +184,23 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     only depth-non-decreasing steps.  The raw maximizer targets
     ``[Phi^{-1}(3/4)]^2 Sigma`` at the Gaussian model; callers wanting
     ``Sigma`` itself divide by that constant.
+
+    A candidate is accepted when its score (depth, mean depth over the 32
+    worst directions, mean depth) is higher than the incumbent's.  Before
+    it is counted over the whole pool, it is counted over a probe set: the
+    incumbent's 64 worst directions and 64 evenly spaced pool columns,
+    rebuilt each round.  Its minimum count over the pool is at most the
+    probe minimum, and its 32 smallest counts sum to at most the probe's
+    32 smallest, so a candidate whose probe pair (minimum, sum) is below
+    the incumbent's cannot score higher and is rejected uncounted.  The
+    accepted steps are those of counting every candidate in full.
+
+    With ``return_info`` the second value is a dict of ``depth``,
+    ``trace`` (the depth after each round, the start first), ``start``,
+    ``directions`` (the pool size), ``stop`` (``"no_step"`` when a round
+    found no step, ``"cap"`` after ``_MAX_ITERATIONS`` rounds), ``counted``
+    (candidates counted over the whole pool) and ``screened`` (candidates
+    rejected by the probe set).
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -200,15 +220,26 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     gamma0 = SpdMatrix.from_matrix(gamma)
 
     u = _scatter_pool(xc, gamma0, cfg.rng)
-    sorted_sq = np.sort((xc @ u.T) ** 2, axis=0)        # (n, K)
-    targets = sorted_sq[(n - 1) // 2, :]                # per-direction balance point
+    k_dirs = u.shape[0]
+    sq = xc @ u.T                                       # (n, K)
+    np.square(sq, out=sq)
+    sq.sort(axis=0)
+    targets = sq[(n - 1) // 2].copy()                   # per-direction balance point
+    kernel = _SortedCounts(sq)
+    del sq                                              # the kernel holds its own layout
 
-    n_tail = min(32, u.shape[0])
-    kernel = _SortedCounts(sorted_sq)
+    n_tail = min(32, k_dirs)
+    spread = np.linspace(0, k_dirs - 1, min(k_dirs, _PROBE_COLUMNS)).astype(int)
+
+    def counts(uu, g, cols=None):
+        # The rows of this product for a row subset of u equal those of
+        # the product for all of u, so probe counts are pool counts.
+        t = np.einsum("kj,jl,kl->k", uu, g, uu)
+        return t, kernel.counts(t, 1e-12 * np.maximum(1.0, t), cols=cols)
 
     def eval_depth(g):
-        t = np.einsum("kj,jl,kl->k", u, g, u)
-        per_dir = kernel.counts(t, 1e-12 * np.maximum(1.0, t)) / n
+        t, c = counts(u, g)
+        per_dir = c / n
         order = np.argsort(per_dir)
         # Lexicographic score: overall depth first, then the mean over the
         # worst directions, then the grand mean, so repairing some of many
@@ -216,11 +247,16 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
         score = (float(per_dir[order[0]]),
                  float(per_dir[order[:n_tail]].mean()),
                  float(per_dir.mean()))
-        return score, order, t
+        worst = c[order[:n_tail]]
+        return score, order, t, (worst[0], worst.sum())
 
-    score, order, t = eval_depth(gamma)
+    score, order, t, floor = eval_depth(gamma)
     trace = [score[0]]
+    counted = screened = 0
+    stop = "cap"
     for _ in range(_MAX_ITERATIONS):
+        probe = np.union1d(order[:_PROBE_COLUMNS], spread)
+        u_probe = u[probe]
         improved = False
         for k in order[:5]:
             q = t[k]
@@ -233,23 +269,31 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
             while eta >= _TOLERANCE:
                 delta = np.clip(eta * (ratio - 1.0), -0.95, 9.0)
                 cand = gamma + delta * delta_dir
-                cand_score, cand_order, cand_t = eval_depth(cand)
-                if cand_score > score:
-                    gamma = cand
-                    score, order, t = cand_score, cand_order, cand_t
-                    improved = True
-                    break
+                low = np.sort(counts(u_probe, cand, probe)[1])[:n_tail]
+                if (low[0], low.sum()) < floor:
+                    screened += 1
+                else:
+                    counted += 1
+                    cand_score, cand_order, cand_t, cand_floor = eval_depth(cand)
+                    if cand_score > score:
+                        gamma = cand
+                        score, order, t = cand_score, cand_order, cand_t
+                        floor = cand_floor
+                        improved = True
+                        break
                 eta *= _STEP_SHRINK
             if improved:
                 break
         trace.append(score[0])
         if not improved:
+            stop = "no_step"
             break
     depth = score[0]
     result = SpdMatrix.from_matrix(gamma)
     if return_info:
         info = {"depth": depth, "trace": trace, "start": gamma0,
-                "directions": u.shape[0]}
+                "directions": k_dirs, "stop": stop, "counted": counted,
+                "screened": screened}
         return result, info
     return result
 

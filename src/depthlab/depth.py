@@ -252,7 +252,8 @@ class _ProjectionDepth:
     def __init__(self, x, dirs):
         self.u = np.asarray(dirs, dtype=float)
         self.n = x.shape[0]
-        proj = np.sort(x @ self.u.T, axis=0)           # (n, K)
+        proj = x @ self.u.T                            # (n, K)
+        proj.sort(axis=0)
         self.tol = _TIE_RTOL * np.maximum(
             1.0, np.maximum(np.abs(proj[0]), np.abs(proj[-1])))
         self.kernel = _SortedCounts(proj)

@@ -735,7 +735,10 @@ def mdepth_estimator(data, rng=None):
 
     The raw deepest scatter targets the squared normal third quartile times
     the covariance; that calibration constant is divided out so the clean
-    Gaussian model is matched, and is recorded in the diagnostics.
+    Gaussian model is matched, and is recorded in the diagnostics.  The
+    diagnostics also carry the scatter ascent's ``stop``, ``counted`` and
+    ``screened`` (see :func:`~depthlab.deepest.deepest_scatter`);
+    ``converged`` is always true.
     """
     x = as_dataset(data)
     n, p = x.shape
@@ -748,7 +751,10 @@ def mdepth_estimator(data, rng=None):
     return EstimatorResult("MDEPTH", theta, cov, iterations=len(info["trace"]),
                            converged=True, singular=_is_singular(cov),
                            extras={"normalization": BETA,
-                                   "depth": info["depth"]})
+                                   "depth": info["depth"],
+                                   "stop": info["stop"],
+                                   "counted": info["counted"],
+                                   "screened": info["screened"]})
 
 
 # ---------------------------------------------------------------------------

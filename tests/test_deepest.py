@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from depthlab.deepest import (
     tukey_median,
 )
 from depthlab.depth import ls_depth2, regression_depth, scatter_depth, tukey_depth
+from depthlab.estimators import ESTIMATOR_IDS
 from depthlab.maxbias import BETA, regdepth_maxbias
-from depthlab.numerics import RngStream
+from depthlab.numerics import RngStream, SpdMatrix
+from depthlab.simlab import ContaminationSpec, gen_contaminated, replicate_seed
 
 
 def cfg_with_seed(seed):
@@ -98,6 +101,177 @@ class TestDeepestScatter:
         x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]])
         with pytest.raises(ValueError):
             deepest_scatter(x, np.zeros(2), cfg_with_seed(12))
+
+
+def deepest_scatter_reference(data, center, cfg):
+    """The deepest-scatter ascent counting every candidate over the whole
+    pool (the search deepest_scatter screens with a probe set)."""
+    x = np.asarray(data, dtype=float)
+    n, p = x.shape
+    center = np.asarray(center, dtype=float)
+    xc = x - center
+    if np.linalg.matrix_rank(xc) < p:
+        raise ValueError("data lie in a lower-dimensional subspace; "
+                         "scatter depth is unbounded toward singular matrices")
+    mad = np.median(np.abs(xc), axis=0)
+    if np.any(mad <= 0.0):
+        raise ValueError("a coordinate has zero median absolute deviation; "
+                         "deepest scatter is not identified")
+    gamma = np.diag(mad * mad)
+    gamma0 = SpdMatrix.from_matrix(gamma)
+
+    u = deepest_mod._scatter_pool(xc, gamma0, cfg.rng)
+    sorted_sq = np.sort((xc @ u.T) ** 2, axis=0)
+    targets = sorted_sq[(n - 1) // 2, :]
+    n_tail = min(32, u.shape[0])
+    kernel = depth_mod._SortedCounts(sorted_sq)
+
+    def eval_depth(g):
+        t = np.einsum("kj,jl,kl->k", u, g, u)
+        per_dir = kernel.counts(t, 1e-12 * np.maximum(1.0, t)) / n
+        order = np.argsort(per_dir)
+        score = (float(per_dir[order[0]]),
+                 float(per_dir[order[:n_tail]].mean()),
+                 float(per_dir.mean()))
+        return score, order, t
+
+    score, order, t = eval_depth(gamma)
+    trace = [score[0]]
+    for _ in range(deepest_mod._MAX_ITERATIONS):
+        improved = False
+        for k in order[:5]:
+            q = t[k]
+            ratio = targets[k] / q if q > 0 else 2.0
+            if ratio == 1.0:
+                continue
+            w = gamma @ u[k]
+            delta_dir = np.outer(w, w) / q
+            eta = 1.0
+            while eta >= deepest_mod._TOLERANCE:
+                delta = np.clip(eta * (ratio - 1.0), -0.95, 9.0)
+                cand = gamma + delta * delta_dir
+                cand_score, cand_order, cand_t = eval_depth(cand)
+                if cand_score > score:
+                    gamma = cand
+                    score, order, t = cand_score, cand_order, cand_t
+                    improved = True
+                    break
+                eta *= deepest_mod._STEP_SHRINK
+            if improved:
+                break
+        trace.append(score[0])
+        if not improved:
+            break
+    return SpdMatrix.from_matrix(gamma), {"depth": score[0], "trace": trace}
+
+
+def grid_p5_mdepth_inputs():
+    """(data, location, config) of the MDEPTH fits of one grid_p5 pass:
+    config seed 1000, one replicate of each (n, k) cell."""
+    out = []
+    for n in (50, 200):
+        for k in (0, 5, 25):
+            spec = ContaminationSpec(p=5, n=n, epsilon=0.2, k=k, seed=1000)
+            rspec = replace(spec, seed=replicate_seed(spec, 0))
+            x = gen_contaminated(rspec)
+            rng = RngStream(rspec.seed).child(
+                1000 + ESTIMATOR_IDS.index("MDEPTH"))
+            theta = tukey_median(x, SearchConfig(rng=rng))
+            out.append((x, theta, rng))
+    return out
+
+
+class TestScatterScreen:
+    """The probe-set screen rejects only candidates that cannot score
+    higher, so the fits equal those of counting every candidate."""
+
+    @staticmethod
+    def assert_same_fit(x, center, seed):
+        rng = seed if isinstance(seed, RngStream) else RngStream(seed)
+        try:
+            ref, ref_info = deepest_scatter_reference(
+                x, center, SearchConfig(rng=rng))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)[:40]):
+                deepest_scatter(x, center, SearchConfig(rng=rng))
+            return None
+        got, info = deepest_scatter(x, center, SearchConfig(rng=rng),
+                                    return_info=True)
+        assert np.array_equal(got.entries, ref.entries)
+        assert info["depth"] == ref_info["depth"]
+        assert info["trace"] == ref_info["trace"]
+        return info
+
+    @staticmethod
+    def gaussian_case(p, n):
+        gen = np.random.default_rng(100 * p + n)
+        x = gen.standard_normal((n, p)) * np.linspace(0.5, 3.0, p)
+        return x, np.median(x, axis=0), 7 * p + n
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("n_kind", ["p+3", 29, 30, 200])
+    def test_gaussian(self, p, n_kind):
+        n = p + 3 if n_kind == "p+3" else n_kind
+        self.assert_same_fit(*self.gaussian_case(p, n))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_gaussian_comparing_every_value(self, p, n, monkeypatch):
+        # Below _SORTED_MIN_N the kernel compares every value instead of
+        # bisecting; probe columns must count the same way on that path.
+        monkeypatch.setattr(depth_mod, "_SORTED_MIN_N", 10 ** 6)
+        self.assert_same_fit(*self.gaussian_case(p, n))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [29, 30, 120])
+    def test_integer_ties(self, p, n):
+        gen = np.random.default_rng(17 * p + n)
+        x = gen.integers(-3, 4, size=(n, p)).astype(float)
+        self.assert_same_fit(x, np.median(x, axis=0), p + n)
+
+    @pytest.mark.parametrize("p", [2, 5, 10])
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("k", [0, 5, 25])
+    def test_point_mass(self, p, eps, k):
+        gen = np.random.default_rng(int(1000 * eps) + 31 * k + p)
+        n = 60
+        x = gen.standard_normal((n, p))
+        x[gen.random(n) < eps] = float(k)
+        self.assert_same_fit(x, np.median(x, axis=0), k + p)
+
+    def test_one_round_cap(self, monkeypatch):
+        monkeypatch.setattr(deepest_mod, "_MAX_ITERATIONS", 1)
+        gen = np.random.default_rng(3)
+        x = gen.standard_normal((80, 5))
+        info = self.assert_same_fit(x, np.zeros(5), 3)
+        assert info["stop"] == "cap"
+        assert len(info["trace"]) == 2
+
+    def test_grid_p5_pass(self):
+        screened = 0
+        for x, theta, rng in grid_p5_mdepth_inputs():
+            info = self.assert_same_fit(x, theta, rng)
+            assert info["stop"] == "no_step"
+            screened += info["screened"]
+        assert screened > 0
+
+    @pytest.mark.parametrize("p", [2, 5, 15])
+    @pytest.mark.parametrize("k", [100, 2600, 8000])
+    def test_row_subset_product(self, p, k):
+        # The screen counts a probe subset of rows of this product; it
+        # must equal the same rows of the product over the whole pool.
+        gen = np.random.default_rng(p * k)
+        u = gen.standard_normal((k, p))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        a = gen.standard_normal((p, p))
+        g = a @ a.T + 0.1 * np.eye(p)
+        full = np.einsum("kj,jl,kl->k", u, g, u)
+        for _ in range(5):
+            idx = np.union1d(gen.choice(k, min(k, 64), replace=False),
+                             np.linspace(0, k - 1, min(k, 64)).astype(int))
+            sub = u[idx]
+            assert np.array_equal(np.einsum("kj,jl,kl->k", sub, g, sub),
+                                  full[idx])
 
 
 class TestDeepestLocScale1:
