@@ -226,7 +226,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     sq.sort(axis=0)
     targets = sq[(n - 1) // 2].copy()                   # per-direction balance point
     kernel = _SortedCounts(sq)
-    del sq                                              # the kernel holds its own layout
+    del sq              # from _SORTED_MIN_N rows on the kernel keeps a padded copy
 
     n_tail = min(32, k_dirs)
     spread = np.linspace(0, k_dirs - 1, min(k_dirs, _PROBE_COLUMNS)).astype(int)
@@ -274,11 +274,10 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
                     screened += 1
                 else:
                     counted += 1
-                    cand_score, cand_order, cand_t, cand_floor = eval_depth(cand)
-                    if cand_score > score:
+                    cand_eval = eval_depth(cand)
+                    if cand_eval[0] > score:
                         gamma = cand
-                        score, order, t = cand_score, cand_order, cand_t
-                        floor = cand_floor
+                        score, order, t, floor = cand_eval
                         improved = True
                         break
                 eta *= _STEP_SHRINK

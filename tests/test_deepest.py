@@ -16,10 +16,10 @@ from depthlab.deepest import (
     tukey_median,
 )
 from depthlab.depth import ls_depth2, regression_depth, scatter_depth, tukey_depth
-from depthlab.estimators import ESTIMATOR_IDS
 from depthlab.maxbias import BETA, regdepth_maxbias
 from depthlab.numerics import RngStream, SpdMatrix
-from depthlab.simlab import ContaminationSpec, gen_contaminated, replicate_seed
+from depthlab.simlab import (ContaminationSpec, _estimator_stream_key,
+                             gen_contaminated, replicate_seed)
 
 
 def cfg_with_seed(seed):
@@ -174,8 +174,7 @@ def grid_p5_mdepth_inputs():
             spec = ContaminationSpec(p=5, n=n, epsilon=0.2, k=k, seed=1000)
             rspec = replace(spec, seed=replicate_seed(spec, 0))
             x = gen_contaminated(rspec)
-            rng = RngStream(rspec.seed).child(
-                1000 + ESTIMATOR_IDS.index("MDEPTH"))
+            rng = RngStream(rspec.seed).child(_estimator_stream_key("MDEPTH"))
             theta = tukey_median(x, SearchConfig(rng=rng))
             out.append((x, theta, rng))
     return out

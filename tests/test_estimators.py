@@ -37,6 +37,7 @@ from depthlab.estimators import (
     weight_rocke,
     weight_shr,
 )
+from depthlab.deepest import SearchConfig, deepest_scatter
 from depthlab.maxbias import BETA, scatter_eigen_bounds
 from depthlab.numerics import RngStream, _mahal_sq, _mahal_sq_stack
 from depthlab.simlab import (ContaminationSpec, _estimator_stream_key,
@@ -504,6 +505,17 @@ class TestMdepth:
         lam1 = np.linalg.eigvalsh(res.scatter)[-1]
         bound = scatter_eigen_bounds(eps).l1 / BETA
         assert lam1 <= bound + 0.5
+
+    def test_extras_carry_scatter_ascent_stop_and_counts(self):
+        gen = np.random.default_rng(35)
+        x = gen.standard_normal((60, 3))
+        res = mdepth_estimator(x, rng=RngStream(36))
+        _, info = deepest_scatter(x, res.location, SearchConfig(RngStream(36)),
+                                  return_info=True)
+        for key in ("stop", "counted", "screened"):
+            assert res.extras[key] == info[key]
+        assert res.extras["stop"] in ("no_step", "cap")
+        assert res.converged
 
 
 class TestSuiteProperties:
