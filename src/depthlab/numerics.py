@@ -38,6 +38,13 @@ SQRT2 = math.sqrt(2.0)
 # (singular scatter matrix).
 _SINGULAR_RTOL = 1e-12
 
+# m_scale: |mean rho - delta| above which one evaluation settles a side,
+# regula-falsi steps before the halvings, and the relative offset of the
+# two guard points around their estimate.
+_SETTLE = 1e-12
+_FALSI_STEPS = 10
+_GUARD = 2e-11
+
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to full double precision.
@@ -196,6 +203,18 @@ def m_scale(d, rho, delta):
     bisection (at most 200 halvings, to a relative bracket width of 1e-12);
     the mean-rho residual of the result is below 1e-10.
 
+    The result depends only on the signs of f(s) = mean rho(d / s) - delta
+    at the bisection's midpoints, and f does not increase in s.  So the
+    bisection evaluates f only at midpoints that are not settled yet.  An
+    evaluation settles a side only when |f(s)| > _SETTLE = 1e-12: then f
+    has that sign at every s beyond it on that side.  The computed mean rho
+    is within about 1e-15 of its exact value, so this holds even where the
+    float rho is not monotone.  Before the halvings, up to
+    _FALSI_STEPS = 10 Illinois regula-falsi steps (Dowell & Jarratt, BIT
+    1971) and two guard points at 2e-11 relative around their estimate
+    settle a narrow interval, so about 20 evaluations replace about 45.
+    The result is that of evaluating f at every midpoint.
+
     Raises ``ValueError`` when no root exists, i.e. the fraction of zero
     residuals is at least ``1 - delta``.
     """
@@ -220,19 +239,55 @@ def m_scale(d, rho, delta):
     s_lo = s_hi = float(np.median(nonzero))
     if s_lo <= 0.0:
         s_lo = s_hi = float(np.mean(nonzero))
+    f_lo = f_hi = f(s_lo)
     for _ in range(200):
-        if f(s_lo) > 0.0:
+        if f_lo > 0.0:
             break
         s_lo *= 0.5
+        f_lo = f(s_lo)
     for _ in range(200):
-        if f(s_hi) < 0.0:
+        if f_hi < 0.0:
             break
         s_hi *= 2.0
-    if not (f(s_lo) > 0.0 > f(s_hi)):
+        f_hi = f(s_hi)
+    if not (f_lo > 0.0 > f_hi):
         raise ValueError("m_scale failed to bracket a root")
+
+    # f > 0 at every s <= a and f <= 0 at every s >= b.  No midpoint lies
+    # outside [s_lo, s_hi], so the bracket ends hold before they settle.
+    a, fa, b, fb = s_lo, f_lo, s_hi, f_hi
+    x, side = None, 0
+    for _ in range(_FALSI_STEPS):
+        if b - a <= 2.0 * _GUARD * b:
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            break
+        fx = f(x)
+        if abs(fx) <= _SETTLE:
+            break
+        if fx > 0.0:
+            a, fa = x, fx
+            if side > 0:
+                fb *= 0.5       # Illinois: halve the end that stayed
+            side = 1
+        else:
+            b, fb = x, fx
+            if side < 0:
+                fa *= 0.5
+            side = -1
+    if x is not None:
+        for g in (x * (1.0 - _GUARD), x * (1.0 + _GUARD)):
+            if a < g < b:
+                fg = f(g)
+                if fg > _SETTLE:
+                    a = g
+                elif fg < -_SETTLE:
+                    b = g
+
     for _ in range(200):
         s_mid = 0.5 * (s_lo + s_hi)
-        if f(s_mid) > 0.0:
+        if s_mid <= a or (s_mid < b and f(s_mid) > 0.0):
             s_lo = s_mid
         else:
             s_hi = s_mid

@@ -5,6 +5,7 @@ criterion.  The desk-scale benchmark (criteria 6-8) reuses a single grid
 run, so the whole module stays within its runtime budget.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,13 @@ from tests.test_depth import (
 )
 
 SEED = 1
+
+# sha256 of the desk grid's records CSV, which is also what `depthlab
+# simulate` writes for configs/table_p2_n20.cfg.  A change that alters
+# records on purpose updates it and gives the old and new digests in
+# CHANGES.md.
+DESK_GRID_SHA256 = (
+    "7f2ef60bce04db65e5d62be2a4b9ad416a6708c5e30c0744c275f94151936670")
 
 
 def _quantile_oracle(q):
@@ -235,6 +243,12 @@ class TestCriterion7Efficiency:
 
 
 class TestCriterion8Determinism:
+    def test_desk_grid_records_digest(self, desk_grid, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(desk_grid, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_GRID_SHA256
+        _report(8, "desk grid records match the pinned sha256")
+
     def test_pipeline_byte_identical(self, tmp_path):
         cells = [ContaminationSpec(p=2, n=20, epsilon=0.1, k=k, seed=SEED)
                  for k in (0, 25)]

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 from dataclasses import replace
 
@@ -57,7 +58,38 @@ def quad_mean_rho(rho, p, s, lo, hi):
     return band + stats.chi2.sf(s * hi, p)
 
 
+def scale_constant_reference(p, lo, hi, coefs):
+    """The consistency constant of :func:`estimators._scale_constant`, with
+    all 200 halvings run: the reference of its stop at a fixed point."""
+    def mean_rho(s):
+        a, b = s * lo, s * hi
+        total = 0.0
+        for k, c in enumerate(coefs):
+            prod = math.prod(range(p, p + 2 * k, 2))
+            mass = stats.chi2.cdf(b, p + 2 * k) - stats.chi2.cdf(a, p + 2 * k)
+            total += c * (prod * mass) / s ** k
+        return total + (1.0 - stats.chi2.cdf(b, p))
+
+    s_lo, s_hi = 1e-6, 10.0 * p
+    while mean_rho(s_hi) > 0.5:
+        s_hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (s_lo + s_hi)
+        if mean_rho(mid) > 0.5:
+            s_lo = mid
+        else:
+            s_hi = mid
+    return 0.5 * (s_lo + s_hi)
+
+
 class TestConsistencyConstants:
+    @pytest.mark.parametrize("p", range(1, 16))
+    def test_equal_full_bisection(self, monkeypatch, p):
+        got = (_bisquare_scale_constant(p), _rocke_scale_constant(p))
+        monkeypatch.setattr(estimators, "_scale_constant",
+                            scale_constant_reference)
+        assert (_bisquare_scale_constant(p), _rocke_scale_constant(p)) == got
+
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 15])
     def test_constants_solve_half(self, p):
         s = _bisquare_scale_constant(p)
@@ -128,6 +160,141 @@ class TestMve:
         r2 = mve(x + shift, rng=RngStream(7))
         assert np.allclose(r1.location + shift, r2.location, atol=1e-8)
         assert np.allclose(r1.scatter, r2.scatter, atol=1e-8)
+
+
+def mve_reference(data, rng):
+    """MVE with each start scored in a loop of its own: the reference of the
+    stacked elemental stage of :func:`mve`."""
+    x = np.asarray(data, dtype=float)
+    n, p = x.shape
+    if n <= p + 1:
+        raise ValueError("need n > p + 1")
+    gen = rng.generator()
+    h = (n + p + 1) // 2
+    c2 = stats.chi2.ppf(h / n, p)
+
+    def coverage(mu, cov):
+        chol = _chol_gate(cov)
+        if chol is None:
+            return None
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        d = _mahal_sq(x, mu, cov)
+        if d is None:
+            return None
+        m2 = float(np.partition(d, h - 1)[h - 1])
+        if m2 <= 0.0:
+            return None
+        return logdet + p * np.log(m2), m2, d
+
+    cands = []
+    for _ in range(_SUBSETS):
+        idx = gen.choice(n, size=p + 1, replace=False)
+        mu, cov = _mean_cov(x[idx])
+        got = coverage(mu, cov)
+        if got is None:
+            continue
+        cands.append((got[0], got[1], mu, cov, got[2]))
+    if not cands:
+        raise ValueError("all elemental subsets were degenerate")
+    cands.sort(key=lambda c: c[0])
+    best = None
+    for logvol, m2, mu, cov, d in cands[:10]:
+        steps = 0
+        for _ in range(10):
+            keep = np.argpartition(d, h - 1)[:h]
+            mu_new, cov_new = _mean_cov(x[keep])
+            got = coverage(mu_new, cov_new)
+            if got is None or got[0] >= logvol - 1e-12:
+                break
+            logvol, m2, d = got
+            mu, cov = mu_new, cov_new
+            steps += 1
+        if best is None or logvol < best[0]:
+            best = (logvol, mu, cov * (m2 / c2), steps)
+    _, mu, cov, steps = best
+    cov = _median_distance_rescale(x, mu, cov)
+    mu, cov = _chi2_reweight(x, mu, cov)
+    return EstimatorResult("MVE", mu, 0.5 * (cov + cov.T), iterations=_SUBSETS,
+                           singular=_is_singular(cov),
+                           extras={"h": h, "kept": len(cands),
+                                   "refine_steps": steps})
+
+
+def assert_mve_matches_reference(x, rng):
+    """Every output of :func:`mve` equals the reference's, or both raise the
+    same error; returns the fit."""
+    def outcome(fit):
+        try:
+            return fit(x, rng=rng)
+        except ValueError as exc:
+            return str(exc)
+
+    want, got = outcome(mve_reference), outcome(mve)
+    if isinstance(want, str):
+        assert got == want
+        return None
+    assert not isinstance(got, str), got
+    assert np.array_equal(got.location, want.location)
+    assert np.array_equal(got.scatter, want.scatter)
+    assert (got.singular, got.iterations, got.converged) == (
+        want.singular, want.iterations, want.converged)
+    assert got.extras == want.extras
+    return got
+
+
+class TestMveLockstep:
+    def test_singular_start_dataset(self):
+        # Replicate 1 of config seed 2001, eps 0.2, k 1: the MVE start that
+        # flags MVE, SE, ROCKE and MM.  Each estimator draws its MVE from its
+        # own stream: SE and ROCKE through child(1), MM through its S start.
+        streams = {}
+        for eid in ("MVE", "SE", "ROCKE", "MM"):
+            x, streams[eid] = grid_replicate(2001, 1, eid, replicate=1)
+        streams["SE"] = streams["SE"].child(1)
+        streams["ROCKE"] = streams["ROCKE"].child(1)
+        streams["MM"] = streams["MM"].child(1).child(1)
+        fits = {eid: assert_mve_matches_reference(x, rng)
+                for eid, rng in streams.items()}
+        assert _is_singular(fits["MVE"].scatter)
+        assert all(fit.extras["kept"] < _SUBSETS for fit in fits.values())
+
+    @pytest.mark.parametrize("eid", ["SE", "MM"])
+    def test_streams_inside_s_and_mm(self, eid):
+        # Replicate 0 of config seed 2004, eps 0.2, k 15 (seed 2, pass 4).
+        x, rng = grid_replicate(2004, 15, eid)
+        rng = rng.child(1) if eid == "SE" else rng.child(1).child(1)
+        assert_mve_matches_reference(x, rng)
+
+    @pytest.mark.parametrize("p,n,eps", [(2, 4, 0.0), (2, 20, 0.45),
+                                         (2, 2000, 0.1), (3, 5, 0.0),
+                                         (3, 30, 0.2), (5, 7, 0.0),
+                                         (5, 50, 0.3), (5, 200, 0.2),
+                                         (10, 12, 0.0), (10, 60, 0.2)])
+    def test_matches_reference(self, p, n, eps):
+        gen = np.random.default_rng(10 * p + n)
+        x = gen.standard_normal((n, p))
+        x[: int(eps * n)] = 5.0
+        assert_mve_matches_reference(x, RngStream(n))
+
+    @pytest.mark.parametrize("p,n", [(2, 20), (3, 40), (5, 50)])
+    def test_integer_ties(self, p, n):
+        gen = np.random.default_rng(p + n)
+        x = np.round(1.5 * gen.standard_normal((n, p)))
+        x[: n // 5] = 2.0
+        assert_mve_matches_reference(x, RngStream(p))
+
+    @pytest.mark.parametrize("starts", [1, 7, 64])
+    def test_blocks_leave_outputs_unchanged(self, monkeypatch, starts):
+        x, rng = grid_replicate(1, 5, "MVE", p=3, n=30)
+        monkeypatch.setattr(estimators, "_STACK_BYTES", 8 * 30 * 3 * starts)
+        assert_mve_matches_reference(x, rng)
+
+    @pytest.mark.parametrize("x", [np.ones((20, 3)), np.zeros((10, 2)),
+                                   np.tile([[0.0, 1.0], [1.0, 2.0]], (6, 1))])
+    def test_degenerate_data_raise_alike(self, x):
+        with pytest.raises(ValueError, match="all elemental subsets"):
+            mve(x, rng=RngStream(3))
+        assert_mve_matches_reference(x, RngStream(3))
 
 
 def mcd_reference(data, rng):
@@ -204,11 +371,12 @@ def assert_mcd_matches_reference(x, rng):
         assert np.array_equal(a, b)
 
 
-def grid_replicate(seed, k, estimator_id="MCD", p=2, n=20, epsilon=0.2):
-    """Replicate 0 of a simulate cell and the estimator's stream, as
+def grid_replicate(seed, k, estimator_id="MCD", p=2, n=20, epsilon=0.2,
+                   replicate=0):
+    """One replicate of a simulate cell and the estimator's stream, as
     :func:`simlab._one_replicate` builds them."""
     spec = ContaminationSpec(p=p, n=n, epsilon=epsilon, k=k, seed=seed)
-    rspec = replace(spec, seed=replicate_seed(spec, 0))
+    rspec = replace(spec, seed=replicate_seed(spec, replicate))
     return gen_contaminated(rspec), RngStream(rspec.seed).child(
         _estimator_stream_key(estimator_id))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthlab.estimators import rho_rocke, rocke_gamma
 from depthlab.numerics import (
     RngStream,
     SpdMatrix,
@@ -179,6 +180,115 @@ class TestMScale:
         d = np.array([0.0, 0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             m_scale(d, rho_bisquare, 0.5)
+
+
+def m_scale_reference(d, rho, delta):
+    """:func:`m_scale` evaluating f at every bracket step and every
+    midpoint: the reference of its settled-sign shortcut."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("d must be a nonempty 1-d array")
+    if np.any(d < 0.0) or np.any(~np.isfinite(d)):
+        raise ValueError("residuals must be finite and nonnegative")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    n = d.size
+    nonzero = d[d > 0.0]
+    if nonzero.size / n <= delta:
+        raise ValueError(
+            "m_scale has no root: fraction of zero residuals >= 1 - delta"
+        )
+
+    def f(s):
+        return float(np.mean(rho(d / s))) - delta
+
+    s_lo = s_hi = float(np.median(nonzero))
+    if s_lo <= 0.0:
+        s_lo = s_hi = float(np.mean(nonzero))
+    for _ in range(200):
+        if f(s_lo) > 0.0:
+            break
+        s_lo *= 0.5
+    for _ in range(200):
+        if f(s_hi) < 0.0:
+            break
+        s_hi *= 2.0
+    if not (f(s_lo) > 0.0 > f(s_hi)):
+        raise ValueError("m_scale failed to bracket a root")
+    for _ in range(200):
+        s_mid = 0.5 * (s_lo + s_hi)
+        if f(s_mid) > 0.0:
+            s_lo = s_mid
+        else:
+            s_hi = s_mid
+        if (s_hi - s_lo) <= 1e-12 * s_hi:
+            break
+    return 0.5 * (s_lo + s_hi)
+
+
+class CountingRho:
+    def __init__(self, rho):
+        self.rho, self.calls = rho, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.rho(t)
+
+
+def rho_rocke_at(p):
+    gamma = rocke_gamma(p)
+    return lambda t: rho_rocke(t, gamma)
+
+
+def m_scale_cases(seed):
+    """Residuals at n = 20, 50, 200 and scales 1e-3 to 1e3: chi-square
+    draws at p = 2 and 5, with zeros, a point mass, or integer ties."""
+    gen = np.random.default_rng(seed)
+    for n in (20, 50, 200):
+        for p in (2, 5):
+            for scale in 10.0 ** np.arange(-3, 4):
+                d = gen.chisquare(p, size=n)
+                yield d * scale
+                zeros = d.copy()
+                zeros[: int(gen.uniform(0.1, 0.55) * n)] = 0.0
+                yield zeros * scale
+                mass = d.copy()
+                mass[: int(0.4 * n)] = gen.uniform(2.0, 50.0) * p
+                yield mass * scale
+                yield np.round(d) * scale
+
+
+class TestMScaleExact:
+    RHOS = {"bisquare": rho_bisquare, "rocke2": rho_rocke_at(2),
+            "rocke5": rho_rocke_at(5),
+            # Non-monotone below the settle margin of 1e-12: the wiggle
+            # turns over each time t moves by about 1e-13.
+            "wiggly": lambda t: rho_bisquare(t) + 1e-13 * np.sin(1e13 * t)}
+
+    @staticmethod
+    def outcome(solver, d, rho, delta):
+        try:
+            return solver(d, rho, delta)
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("name", sorted(RHOS))
+    def test_equals_reference(self, name):
+        fast, full = CountingRho(self.RHOS[name]), CountingRho(self.RHOS[name])
+        raised = 0
+        for d in m_scale_cases(len(name)):
+            want = self.outcome(m_scale_reference, d, full, 0.5)
+            assert self.outcome(m_scale, d, fast, 0.5) == want
+            raised += isinstance(want, str)
+        assert 0 < raised < 100
+        # The shortcut is why the solver exists: under half the evaluations.
+        assert fast.calls < 0.5 * full.calls
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.7])
+    def test_other_breakdown_points(self, delta):
+        for d in m_scale_cases(7):
+            assert (self.outcome(m_scale, d, rho_bisquare, delta)
+                    == self.outcome(m_scale_reference, d, rho_bisquare, delta))
 
 
 class TestDirections:
