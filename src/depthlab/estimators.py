@@ -74,7 +74,7 @@ _ITER_TOL = 1e-9
 
 _SUBSETS = 500                # elemental starts of MVE and MCD
 _CSTEPS = 20                  # concentration steps per MCD start
-_STACK_BYTES = 1 << 18        # one (starts, n, p) float64 stack of C-steps
+_STACK_BYTES = 1 << 18        # one (starts, n, p) float64 stack of starts
 _DELTA = 0.5                  # S-estimator breakdown point
 _ROCKE_ALPHA = 0.1            # tail probability that sets Rocke's band
 _REWEIGHT_PASSES = 2
@@ -253,10 +253,11 @@ def _chol_gate(cov):
 
 
 def _mean_cov(rows):
-    """Mean and 1/len(rows) covariance of the rows of a data matrix."""
-    mu = rows.mean(axis=0)
-    z = rows - mu
-    return mu, z.T @ z / len(rows)
+    """Mean and 1/len(rows) covariance of the rows of a data matrix, or of
+    each matrix in a stack ``(starts, rows, p)``."""
+    mu = rows.mean(axis=-2)
+    z = rows - mu[..., None, :]
+    return mu, np.swapaxes(z, -1, -2) @ z / rows.shape[-2]
 
 
 def _median_distance_rescale(x, mu, cov):
@@ -372,10 +373,7 @@ def mve(data, rng=None):
 
     idx = np.array([gen.choice(n, size=p + 1, replace=False)
                     for _ in range(_SUBSETS)])
-    rows = x[idx]
-    mus = rows.mean(axis=1)
-    z = rows - mus[:, None, :]
-    covs = z.transpose(0, 2, 1) @ z / (p + 1)
+    mus, covs = _mean_cov(x[idx])
     chol, ok = _chol_gates(covs)
     m2 = np.zeros(_SUBSETS)
     gated = np.flatnonzero(ok)
@@ -513,10 +511,8 @@ def _concentrate(x, mu, cov, h):
         d, ok = _mahal_sq_stack(x, mu[live], cov[live])
         steps[live[~ok]] = it + 1
         live, d = live[ok], d[ok]
-        rows = x[np.argpartition(d, h - 1, axis=1)[:, :h]]
-        mu[live] = mean = rows.mean(axis=1)
-        z = rows - mean[:, None, :]
-        cov[live] = scatter = z.transpose(0, 2, 1) @ z / h
+        mean, scatter = _mean_cov(x[np.argpartition(d, h - 1, axis=1)[:, :h]])
+        mu[live], cov[live] = mean, scatter
         chol, ok = _chol_gates(scatter)
         steps[live[~ok]] = it + 1
         live, chol = live[ok], chol[ok]
