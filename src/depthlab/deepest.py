@@ -15,17 +15,18 @@ candidate order).
 
 The searches evaluate many candidates against one dataset, so they count a
 whole batch at once.  The sampled searches sort its projections once and
-count by bisection (:class:`~depthlab.depth._SortedCounts`).  The sampled
-location search is also bounded: the depth of a candidate is at most its
-minimum count over a few pool directions, and only candidates whose bound
-can still beat the incumbent are counted in full.  The scatter ascent
-screens the same way: a candidate is counted in full only when its counts
-over a probe set of directions do not already show that it scores lower
-than the incumbent.  At p = 2 the exact
-location depths of a batch come from an angular sweep, the regression
-depths at every p >= 2 from sign tables of the design, and the joint
-location-scale search bisects the scales of every candidate location at
-once.  All give the fits of a count of one candidate at a time.
+count by bisection (:class:`~depthlab.depth._SortedCounts`).  Both sampled
+searches are also bounded by one probe screen
+(:class:`~depthlab.depth._ProbeScreen`): a candidate's counts over a probe
+set of pool directions, evenly spaced ones and the incumbent's worst ones,
+bound its depth from above, and a candidate is counted in full only when
+that bound does not already show it cannot beat the incumbent.  The
+location search bounds a batch of proposals; the scatter ascent bounds a
+direction's whole ladder of step sizes and walks it in order.  At p = 2 the
+exact location depths of a batch come from an angular sweep, the
+regression depths at every p >= 2 from sign tables of the design, and the
+joint location-scale search bisects the scales of every candidate location
+at once.  All give the fits of a count of one candidate at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .depth import (_DIRECTIONS_PER_DIM, _PROBE_COLUMNS, _data_directions,
-                    _ls_tol, _ProjectionDepth, _RegressionSigns, _SortedCounts,
-                    _tukey_sweep, as_dataset, build_directions, ls_depth2,
-                    regression_depth)
+                    _ls_tol, _ProbeScreen, _ProjectionDepth, _RegressionSigns,
+                    _SortedCounts, _tukey_sweep, as_dataset, build_directions,
+                    ls_depth2, regression_depth)
 from .numerics import RngStream, SpdMatrix, unit_directions
 
 __all__ = [
@@ -187,13 +188,19 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
 
     A candidate is accepted when its score (depth, mean depth over the 32
     worst directions, mean depth) is higher than the incumbent's.  Before
-    it is counted over the whole pool, it is counted over a probe set: the
-    incumbent's 64 worst directions and 64 evenly spaced pool columns,
-    rebuilt each round.  Its minimum count over the pool is at most the
-    probe minimum, and its 32 smallest counts sum to at most the probe's
-    32 smallest, so a candidate whose probe pair (minimum, sum) is below
-    the incumbent's cannot score higher and is rejected uncounted.  The
-    accepted steps are those of counting every candidate in full.
+    it is counted over the whole pool, it is counted over a probe set
+    (:class:`~depthlab.depth._ProbeScreen`): the incumbent's 64 worst
+    directions and 64 evenly spaced pool columns, rebuilt each round.  Its
+    minimum count over the pool is at most the probe minimum, and its 32
+    smallest counts sum to at most the probe's 32 smallest, so a candidate
+    whose probe pair (minimum, sum) is below the incumbent's cannot score
+    higher and is rejected uncounted.  The probe counts of a direction's
+    whole ladder of step sizes (eta = 1, 1/2, ... down to the tolerance)
+    come from one stacked product and one count; the ladder is then walked
+    in order, counting in full only the steps the probe does not rule out,
+    up to the first accepted one.  The accepted steps, ``counted`` and
+    ``screened`` are those of screening one step at a time, and the steps
+    those of counting every candidate in full.
 
     With ``return_info`` the second value is a dict of ``depth``,
     ``trace`` (the depth after each round, the start first), ``start``,
@@ -229,16 +236,17 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     del sq              # from _SORTED_MIN_N rows on the kernel keeps a padded copy
 
     n_tail = min(32, k_dirs)
-    spread = np.linspace(0, k_dirs - 1, min(k_dirs, _PROBE_COLUMNS)).astype(int)
-
-    def counts(uu, g, cols=None):
-        # The rows of this product for a row subset of u equal those of
-        # the product for all of u, so probe counts are pool counts.
-        t = np.einsum("kj,jl,kl->k", uu, g, uu)
-        return t, kernel.counts(t, 1e-12 * np.maximum(1.0, t), cols=cols)
+    screen = _ProbeScreen(kernel, k_dirs)
+    ladder = []                                         # eta = 1, 1/2, ...
+    eta = 1.0
+    while eta >= _TOLERANCE:
+        ladder.append(eta)
+        eta *= _STEP_SHRINK
+    ladder = np.array(ladder)
 
     def eval_depth(g):
-        t, c = counts(u, g)
+        t = np.einsum("kj,jl,kl->k", u, g, u)
+        c = kernel.counts(t, 1e-12 * np.maximum(1.0, t))
         per_dir = c / n
         order = np.argsort(per_dir)
         # Lexicographic score: overall depth first, then the mean over the
@@ -250,13 +258,13 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
         worst = c[order[:n_tail]]
         return score, order, t, (worst[0], worst.sum())
 
-    score, order, t, floor = eval_depth(gamma)
+    score, order, t, key = eval_depth(gamma)
     trace = [score[0]]
     counted = screened = 0
     stop = "cap"
     for _ in range(_MAX_ITERATIONS):
-        probe = np.union1d(order[:_PROBE_COLUMNS], spread)
-        u_probe = u[probe]
+        screen.focus(order[:_PROBE_COLUMNS])
+        u_probe = u[screen.cols]
         improved = False
         for k in order[:5]:
             q = t[k]
@@ -265,22 +273,25 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
                 continue
             w = gamma @ u[k]
             delta_dir = np.outer(w, w) / q
-            eta = 1.0
-            while eta >= _TOLERANCE:
-                delta = np.clip(eta * (ratio - 1.0), -0.95, 9.0)
-                cand = gamma + delta * delta_dir
-                low = np.sort(counts(u_probe, cand, probe)[1])[:n_tail]
-                if (low[0], low.sum()) < floor:
+            deltas = np.clip(ladder * (ratio - 1.0), -0.95, 9.0)
+            cands = gamma + deltas[:, None, None] * delta_dir
+            # The rows of these products for a row subset of u equal those
+            # of the product for all of u, so probe counts are pool counts;
+            # each candidate's row equals its own product.
+            tp = np.einsum("kj,cjl,kl->ck", u_probe, cands, u_probe)
+            low = np.sort(screen.counts(tp, 1e-12 * np.maximum(1.0, tp)),
+                          axis=1)[:, :n_tail]
+            for cand, lo in zip(cands, low):
+                if (lo[0], lo.sum()) < key:
                     screened += 1
-                else:
-                    counted += 1
-                    cand_eval = eval_depth(cand)
-                    if cand_eval[0] > score:
-                        gamma = cand
-                        score, order, t, floor = cand_eval
-                        improved = True
-                        break
-                eta *= _STEP_SHRINK
+                    continue
+                counted += 1
+                cand_eval = eval_depth(cand)
+                if cand_eval[0] > score:
+                    gamma = cand
+                    score, order, t, key = cand_eval
+                    improved = True
+                    break
             if improved:
                 break
         trace.append(score[0])

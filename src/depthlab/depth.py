@@ -238,6 +238,35 @@ class _SortedCounts:
         return np.minimum(idx[0], self.n - idx[1])
 
 
+class _ProbeScreen:
+    """Probe set of a sampled depth search: the columns over which a batch
+    of candidates is counted before any of them is counted in full.
+
+    A sampled depth is a minimum of counts over the pool's columns, so the
+    counts over any subset of them bound it from above.  The probe set is
+    ``_PROBE_COLUMNS`` evenly spaced columns joined with the incumbent's
+    worst columns, where a candidate near the incumbent is most likely to
+    count low too.  :meth:`focus` moves the set to a new incumbent; the
+    caller compares the probe counts with that incumbent's score.  Which
+    columns are probed changes only how many candidates the bound rules
+    out, never which one a search keeps.
+    """
+
+    def __init__(self, kernel, k):
+        self.kernel = kernel
+        self.spread = np.linspace(0, k - 1, min(k, _PROBE_COLUMNS)).astype(int)
+        self.cols = self.spread
+
+    def focus(self, worst):
+        """Probe ``worst``, the incumbent's worst columns, and the spread."""
+        self.cols = np.union1d(worst, self.spread)
+
+    def counts(self, t, tol):
+        """Counts of a batch over the probe columns: ``t`` is
+        (..., len(cols)) and holds the thresholds of those columns."""
+        return self.kernel.counts(t, tol, cols=self.cols)
+
+
 class _ProjectionDepth:
     """Sampled halfspace depth of many candidate points against one pool.
 
@@ -245,8 +274,8 @@ class _ProjectionDepth:
     largest projection) count on both sides, as in :func:`tukey_depth`.
     The projections are sorted once and counted through
     :class:`_SortedCounts`.  :meth:`best` prunes with an upper bound: the
-    depth is a minimum over directions, so the minimum over a few of them
-    bounds it from above.
+    depth is a minimum over directions, so the minimum over the columns of
+    a :class:`_ProbeScreen` bounds it from above.
     """
 
     def __init__(self, x, dirs):
@@ -257,8 +286,7 @@ class _ProjectionDepth:
         self.tol = _TIE_RTOL * np.maximum(
             1.0, np.maximum(np.abs(proj[0]), np.abs(proj[-1])))
         self.kernel = _SortedCounts(proj)
-        k = self.u.shape[0]
-        self.probe = np.linspace(0, k - 1, min(k, _PROBE_COLUMNS)).astype(int)
+        self.screen = _ProbeScreen(self.kernel, self.u.shape[0])
 
     def depths(self, thetas):
         t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
@@ -268,23 +296,30 @@ class _ProjectionDepth:
         """``(index, depth)`` of the first deepest candidate, or None when
         no candidate is deeper than ``floor``.
 
-        Only candidates whose bound can still reach the running best are
-        counted in full, highest bound first.  The product with the pool is
-        formed once for the whole batch: a product of a sub-batch may round
-        differently.
+        Each candidate's bound is its minimum count over the probe set:
+        the spread columns and, once a call has found a winner, the 64
+        worst columns of the last winner, which a caller's ascent keeps as
+        its incumbent.  Only candidates whose bound can still reach the
+        running best are counted in full, highest bound first, and the
+        winner's full counts give the next probe set.  The product with the
+        pool is formed once for the whole batch: a product of a sub-batch
+        may round differently.
         """
         t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
-        bound = self.kernel.counts(t[:, self.probe], self.tol[self.probe],
-                                   cols=self.probe).min(axis=1)
-        best_i, best_c = None, -1
+        cols = self.screen.cols
+        bound = self.screen.counts(t[:, cols], self.tol[cols]).min(axis=1)
+        best_i, best_c, best_counts = None, -1, None
         for i in np.argsort(-bound, kind="stable"):
             if bound[i] < best_c or bound[i] / self.n <= floor:
                 break
-            c = self.kernel.counts(t[i], self.tol).min()
-            if c > best_c or (c == best_c and i < best_i):
-                best_i, best_c = int(i), int(c)
+            c = self.kernel.counts(t[i], self.tol)
+            c_min = c.min()
+            if c_min > best_c or (c_min == best_c and i < best_i):
+                best_i, best_c, best_counts = int(i), int(c_min), c
         if best_i is None or best_c / self.n <= floor:
             return None
+        worst = np.argsort(best_counts, kind="stable")[:_PROBE_COLUMNS]
+        self.screen.focus(worst)
         return best_i, best_c / self.n
 
 

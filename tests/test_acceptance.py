@@ -56,6 +56,14 @@ SEED = 1
 DESK_GRID_SHA256 = (
     "7f2ef60bce04db65e5d62be2a4b9ad416a6708c5e30c0744c275f94151936670")
 
+# sha256 of one replicate of each p = 5 cell (n 50 and 200, eps 0.2, k 0, 5
+# and 25) at config seed 1000, which is also what `depthlab simulate` writes
+# for pass 0 of the grid_p5 benchmark workload at seed 1.  It pins the
+# sampled projection paths (MDEPTH, SD) that the p = 2 desk grid does not
+# run at these sizes.
+GRID_P5_SHA256 = (
+    "842459944de03461e5edbaea3f4fd36ba342f5ed2f70c439aba9c267c8a0737e")
+
 
 def _quantile_oracle(q):
     lo, hi = -40.0, 40.0
@@ -248,6 +256,14 @@ class TestCriterion8Determinism:
         write_records_csv(desk_grid, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_GRID_SHA256
         _report(8, "desk grid records match the pinned sha256")
+
+    def test_grid_p5_records_digest(self, tmp_path):
+        cells = [ContaminationSpec(p=5, n=n, epsilon=0.2, k=k, seed=1000)
+                 for n in (50, 200) for k in (0, 5, 25)]
+        path = tmp_path / "records.csv"
+        write_records_csv(run_grid(cells, replicates=1), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_P5_SHA256
+        _report(8, "grid_p5 records match the pinned sha256")
 
     def test_pipeline_byte_identical(self, tmp_path):
         cells = [ContaminationSpec(p=2, n=20, epsilon=0.1, k=k, seed=SEED)

@@ -247,12 +247,37 @@ class TestScatterScreen:
         assert len(info["trace"]) == 2
 
     def test_grid_p5_pass(self):
-        screened = 0
+        # (counted, screened) of each fit when every step is screened on its
+        # own.  Screening a direction's ladder as one batch must keep both,
+        # since MDEPTH's extras carry them.
+        recorded = [(70, 273), (108, 227), (57, 108),
+                    (18, 99), (27, 100), (42, 112)]
+        got = []
         for x, theta, rng in grid_p5_mdepth_inputs():
             info = self.assert_same_fit(x, theta, rng)
             assert info["stop"] == "no_step"
-            screened += info["screened"]
-        assert screened > 0
+            got.append((info["counted"], info["screened"]))
+        assert got == recorded
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("k", [64, 128, 3000])
+    def test_stacked_ladder_product(self, p, k):
+        # The screen forms the thresholds of a whole step ladder in one
+        # stacked product; each row must equal its candidate's own product.
+        gen = np.random.default_rng(p * k)
+        u = gen.standard_normal((k, p))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        ladder = 0.5 ** np.arange(10)
+        for _ in range(20):
+            a = gen.standard_normal((p, p))
+            g = a @ a.T + 0.1 * np.eye(p)
+            w = g @ u[gen.integers(k)]
+            ratio = gen.lognormal(0.0, 2.0)
+            deltas = np.clip(ladder * (ratio - 1.0), -0.95, 9.0)
+            cands = g + deltas[:, None, None] * (np.outer(w, w) / 0.7)
+            stacked = np.einsum("kj,cjl,kl->ck", u, cands, u)
+            for row, cand in zip(stacked, cands):
+                assert np.array_equal(row, np.einsum("kj,jl,kl->k", u, cand, u))
 
     @pytest.mark.parametrize("p", [2, 5, 15])
     @pytest.mark.parametrize("k", [100, 2600, 8000])

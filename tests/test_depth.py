@@ -650,11 +650,54 @@ class TestSortedCounts:
         assert small.flat is None and large.flat is not None
 
 
-def brute_best(evaluator, thetas, floor):
-    """Reference for ``_ProjectionDepth.best``: argmax over every depth."""
-    vals = evaluator.depths(thetas)
-    j = int(np.argmax(vals))
-    return (j, float(vals[j])) if vals[j] > floor else None
+def projection_best_reference(evaluator, thetas, floor):
+    """``_ProjectionDepth.best`` without its screen: every candidate is
+    counted over the whole pool (from the batch's one product) and the
+    first maximum wins."""
+    t = np.atleast_2d(thetas) @ evaluator.u.T
+    counts = np.concatenate([
+        evaluator.kernel.counts(t[lo:lo + 128], evaluator.tol).min(axis=1)
+        for lo in range(0, len(t), 128)])
+    j = int(np.argmax(counts))
+    depth = counts[j] / evaluator.n
+    return (j, depth) if depth > floor else None
+
+
+def checked_best(monkeypatch):
+    """Make every ``_ProjectionDepth.best`` call also run the reference and
+    assert the two agree; the returned list counts the calls whose probe
+    held an incumbent's worst columns."""
+    real = _ProjectionDepth.best
+    focused = []
+
+    def best(self, thetas, floor):
+        want = projection_best_reference(self, thetas, floor)
+        focused.append(len(self.screen.cols) > len(self.screen.spread))
+        got = real(self, thetas, floor)
+        assert got == want
+        return got
+
+    monkeypatch.setattr(_ProjectionDepth, "best", best)
+    return focused
+
+
+def projection_best_cases():
+    """(data, seed) of sampled tukey_median fits on either side of
+    ``_SORTED_MIN_N``: Gaussian, integer ties and point masses."""
+    cases = []
+    for p in (3, 5, 10):
+        for n in (29, 30, 50, 200):
+            gen = np.random.default_rng(10 * n + p)
+            cases.append((gen.standard_normal((n, p)), n + p))
+    for p, n in ((3, 30), (5, 50)):
+        gen = np.random.default_rng(n + p)
+        cases.append((gen.integers(-2, 3, size=(n, p)).astype(float), p))
+    for n, k in ((50, 5), (200, 25), (29, 0)):
+        gen = np.random.default_rng(n + k)
+        x = gen.standard_normal((n, 5))
+        x[gen.random(n) < 0.3] = float(k)
+        cases.append((x, k))
+    return cases
 
 
 class TestProjectionDepthBest:
@@ -663,7 +706,9 @@ class TestProjectionDepthBest:
         monkeypatch.setattr(depth_mod, "_SORTED_MIN_N",
                             1 if path == "sorted" else 10 ** 6)
         # Integer data and candidates tie often, so the first maximiser is
-        # often reached after a later one with a higher bound.
+        # often reached after a later one with a higher bound.  One
+        # evaluator serves every floor, so later calls probe the worst
+        # columns of an earlier winner.
         dirs = np.vstack([INTEGER_DIRS, unit_directions(300, 3, RngStream(2))])
         for seed in range(40):
             gen = np.random.default_rng(seed)
@@ -679,7 +724,7 @@ class TestProjectionDepthBest:
                 floors.append(below.max())
             for floor in floors:
                 assert evaluator.best(thetas, floor) == \
-                    brute_best(evaluator, thetas, floor)
+                    projection_best_reference(evaluator, thetas, floor)
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_tukey_median_unchanged_by_pruning(self, n, monkeypatch):
@@ -688,8 +733,22 @@ class TestProjectionDepthBest:
         x[gen.random(n) < 0.2] = 5.0
         cfg = SearchConfig(rng=RngStream(7))
         pruned = tukey_median(x, cfg)
-        monkeypatch.setattr(_ProjectionDepth, "best", brute_best)
+        monkeypatch.setattr(_ProjectionDepth, "best", projection_best_reference)
         assert np.array_equal(pruned, tukey_median(x, cfg))
+
+    @pytest.mark.parametrize("case", range(len(projection_best_cases())))
+    def test_every_call_of_an_ascent_matches_reference(self, case, monkeypatch):
+        x, seed = projection_best_cases()[case]
+        focused = checked_best(monkeypatch)
+        tukey_median(x, SearchConfig(rng=RngStream(seed)))
+        assert not focused[0] and any(focused)
+
+    def test_grid_p5_ascents_match_reference(self, monkeypatch):
+        from tests.test_deepest import grid_p5_mdepth_inputs
+
+        focused = checked_best(monkeypatch)
+        grid_p5_mdepth_inputs()                 # six tukey_median ascents
+        assert sum(focused) > 6
 
 
 class TestBuildDirections:

@@ -655,6 +655,83 @@ class TestStahelDonoho:
         assert np.all(t_large >= t_small - 1e-12)
 
 
+def stahel_donoho_reference(data, rng):
+    """Stahel-Donoho with its medians taken by ``np.median``: the reference
+    of the sort-based medians of :func:`estimators.stahel_donoho`."""
+    x = np.asarray(data, dtype=float)
+    n, p = x.shape
+    u = [estimators.unit_directions(1000 * p, p, rng.child(1))]
+    if n <= 100:
+        d = (x[:, None, :] - x[None, :, :])[np.triu_indices(n, k=1)]
+        nrm = np.linalg.norm(d, axis=1)
+        keep = nrm > 1e-12 * max(1.0, nrm.max(initial=0.0))
+        if np.any(keep):
+            u.append(d[keep] / nrm[keep][:, None])
+    u = np.vstack(u)
+    proj = x @ u.T
+    med = np.median(proj, axis=0)
+    mad = np.median(np.abs(proj - med), axis=0) / estimators.SQRT_BETA
+    ok = mad > 1e-12 * np.maximum(1.0, np.abs(med))
+    if not np.any(ok):
+        raise ValueError("every projection direction has zero scale")
+    t = np.max(np.abs(proj[:, ok] - med[ok]) / mad[ok], axis=1)
+    c = np.sqrt(stats.chi2.ppf(0.95, p))
+    w = np.where(t <= c, 1.0, (c / np.maximum(t, c)) ** 2)
+    mu, cov = estimators._weighted_moments(x, w)
+    return mu, cov, t, w, int(np.sum(~ok))
+
+
+class TestStahelDonohoMedians:
+    """Sorting gives the medians of ``np.median`` bit for bit, so every
+    output equals the reference's."""
+
+    @staticmethod
+    def assert_same_fit(x, seed):
+        mu, cov, t, w, zero_mad = stahel_donoho_reference(x, RngStream(seed))
+        res = stahel_donoho(x, rng=RngStream(seed))
+        assert np.array_equal(res.location, mu)
+        assert np.array_equal(res.scatter, cov)
+        assert np.array_equal(res.extras["outlyingness"], t)
+        assert np.array_equal(res.extras["weights"], w)
+        return zero_mad
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("n", [21, 50, 101, 200])
+    def test_gaussian_and_point_mass(self, p, n):
+        # n <= 100 adds the pair directions; odd and even n take one and
+        # two middle order statistics.
+        gen = np.random.default_rng(10 * n + p)
+        x = gen.standard_normal((n, p))
+        self.assert_same_fit(x, n + p)
+        x[gen.random(n) < 0.2] = 5.0
+        self.assert_same_fit(x, n + p)
+
+    @pytest.mark.parametrize("n", [21, 50])
+    def test_zero_mad_columns(self, n):
+        # Half the rows on a point mass at (5, 0) and one more row with
+        # second coordinate 0: the pair direction (0, 1) from (5, 3) to the
+        # mass projects more than half the rows to 0, so its MAD is 0.
+        gen = np.random.default_rng(n)
+        x = gen.standard_normal((n, 2))
+        x[: n // 2] = [5.0, 0.0]
+        x[n // 2] = [1.5, 0.0]
+        x[n // 2 + 1] = [5.0, 3.0]
+        assert self.assert_same_fit(x, n) > 0
+
+    def test_integer_ties(self):
+        gen = np.random.default_rng(7)
+        x = gen.integers(-2, 3, size=(40, 3)).astype(float)
+        self.assert_same_fit(x, 7)
+
+    def test_all_scales_zero_raises_like_reference(self):
+        x = np.zeros((12, 2))
+        x[:2] = [[1.0, 2.0], [3.0, -1.0]]
+        with pytest.raises(ValueError, match="zero scale"):
+            stahel_donoho_reference(x, RngStream(1))
+        with pytest.raises(ValueError, match="zero scale"):
+            stahel_donoho(x, rng=RngStream(1))
+
+
 class TestMdepth:
     def test_clean_consistency(self):
         gen = np.random.default_rng(31)

@@ -1,9 +1,16 @@
-"""The per-pass summary of scripts/flag_scan.py on hand-built records."""
+"""The per-pass summary of scripts/flag_scan.py on hand-built records, and
+the reasons it gives for flagged rows."""
 
 import importlib.util
 import pathlib
+from dataclasses import replace
 
-from depthlab.simlab import BiasRecord, read_records_csv, write_records_csv
+import numpy as np
+
+from depthlab.estimators import EstimatorResult
+from depthlab.simlab import (BiasRecord, ContaminationSpec, gen_contaminated,
+                             read_records_csv, replicate_seed,
+                             write_records_csv)
 
 PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "flag_scan.py"
 SPEC = importlib.util.spec_from_file_location("flag_scan", PATH)
@@ -49,3 +56,35 @@ def test_scan_pass_simulates_the_pass_config(tmp_path):
     assert "seed = 3001" in text
     records = read_records_csv(tmp_path / "records.csv")
     assert [r.estimator for r in records] == list(flag_scan.workloads.ESTIMATORS)
+
+
+def test_reason_of_a_raised_fit(tmp_path):
+    # grid_p5 seed 7 pass 3 (config seed 7003) flags this SE row: its MVE
+    # start is degenerate, with 12 of 50 rows on the mass.
+    rec = BiasRecord("SE", 5, 50, 0.2, 25, 0, float("nan"), float("nan"),
+                     float("inf"), float("inf"), True)
+    path = tmp_path / "records.csv"
+    write_records_csv([row("SCOV"), rec], path)
+    assert flag_scan.reasons(path, 7003) == [
+        "SE: p 5, n 50, eps 0.2, k 25, replicate 0, 12 of 50 rows on the "
+        "mass; ValueError: degenerate MVE start"]
+
+
+def test_reason_of_an_unconverged_fit(tmp_path, monkeypatch):
+    seen = []
+
+    def fit(estimator, data, stream):
+        seen.append((estimator, data.copy()))
+        return EstimatorResult(estimator, np.zeros(2), np.diag([2.0, 1e-3]),
+                               iterations=500, converged=False, singular=True)
+
+    monkeypatch.setattr(flag_scan, "run_estimator", fit)
+    rec = row("ROCKE", replicate=1, k=15, flag=True)
+    assert flag_scan.explain(rec, 3001).endswith(
+        "replicate 1, 4 of 20 rows on the mass; converged False, "
+        "singular True, lambda_p 0.001")
+    # The re-fit sees the replicate's data, generated as simlab does.
+    spec = ContaminationSpec(p=2, n=20, epsilon=0.2, k=15, seed=3001)
+    data = gen_contaminated(replace(spec, seed=replicate_seed(spec, 1)))
+    assert seen[0][0] == "ROCKE" and np.array_equal(seen[0][1], data)
+    assert int(np.all(data == 15.0, axis=1).sum()) == 4
