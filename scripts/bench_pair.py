@@ -20,9 +20,11 @@ side's median and quartiles (``statistics.quantiles``, inclusive) and how
 many pairs the change won, ties counting for neither; each side's failed
 share (``failed`` of ``attempted`` fits or calls, summed over those seeds);
 for grid workloads how many passes both sides ran with equal
-``records_sha256`` and each side's pass count per seed (a faster side
-reaches later passes, whose datasets the other side never fits); and for
-traced runs the per-module metrics that are nonzero on either side.
+``records_sha256``, each side's pass count per seed (a faster side
+reaches later passes, whose datasets the other side never fits) and the
+(seed, pass) pairs of common seeds that only one side reached, the passes
+to give ``scripts/flag_scan.py``; and for traced runs the per-module
+metrics that are nonzero on either side.
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ def summarize(runs, end_to_end):
                     equal += digests[0][label] == digests[1][label]
             entry["records_equal_on_common_passes"] = \
                 f"{equal} of {total} passes"
+            entry["passes_one_side_only"] = {
+                side: [[s, int(label[len("pass"):])] for s in common
+                       for label in done[side][s]["records_sha256"]
+                       if label not in done[other][s]["records_sha256"]]
+                for side, other in zip(SIDES, SIDES[::-1])}
             entry["passes_per_seed"] = {
                 side: {str(s): len(r["records_sha256"])
                        for s, r in done[side].items()} for side in SIDES}

@@ -15,18 +15,20 @@ candidate order).
 
 The searches evaluate many candidates against one dataset, so they count a
 whole batch at once.  The sampled searches sort its projections once and
-count by bisection (:class:`~depthlab.depth._SortedCounts`).  Both sampled
-searches are also bounded by one probe screen
+count by bisection (:class:`~depthlab.depth._SortedCounts`).  The sampled
+searches and the regression search are also bounded by one probe screen
 (:class:`~depthlab.depth._ProbeScreen`): a candidate's counts over a probe
-set of pool directions, evenly spaced ones and the incumbent's worst ones,
-bound its depth from above, and a candidate is counted in full only when
-that bound does not already show it cannot beat the incumbent.  The
-location search bounds a batch of proposals; the scatter ascent bounds a
-direction's whole ladder of step sizes and walks it in order.  At p = 2 the
-exact location depths of a batch come from an angular sweep, the
-regression depths at every p >= 2 from sign tables of the design, and the
-joint location-scale search bisects the scales of every candidate location
-at once.  All give the fits of a count of one candidate at a time.
+set of columns (pool directions, or the critical directions of the
+regression sign tables), evenly spaced ones and the incumbent's worst
+ones, bound its depth from above, and a candidate is counted in full only
+when that bound does not already show it cannot beat the incumbent.  The
+location and regression searches bound a batch of proposals; the scatter
+ascent bounds a direction's whole ladder of step sizes and walks it in
+order.  At p = 2 the exact location depths of a batch come from an angular
+sweep, the regression depths at every p >= 2 from sign tables of the
+design, and the joint location-scale search bisects the scales of every
+candidate location at once.  All give the fits of a count of one candidate
+at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .depth import (_DIRECTIONS_PER_DIM, _PROBE_COLUMNS, _data_directions,
                     _ls_tol, _ProbeScreen, _ProjectionDepth, _RegressionSigns,
                     _SortedCounts, _tukey_sweep, as_dataset, build_directions,
                     ls_depth2, regression_depth)
-from .numerics import RngStream, SpdMatrix, unit_directions
+from .numerics import RngStream, SpdMatrix, draw_subsets, unit_directions
 
 __all__ = [
     "SearchConfig",
@@ -108,13 +110,10 @@ def tukey_median(data, cfg=None):
                                 rng=cfg.rng.child(11))
         best_above = _ProjectionDepth(x, dirs).best
 
-    cands = [np.median(x, axis=0), x.mean(axis=0)]
-    cands.extend(x[i] for i in range(min(n, 200)))
+    cands = np.vstack([np.median(x, axis=0), x.mean(axis=0), x[:200]])
     if n <= _MIDPOINT_MAX_N:
-        for i in range(n):
-            for j in range(i + 1, n):
-                cands.append(0.5 * (x[i] + x[j]))
-    cands = np.array(cands)
+        i, j = np.triu_indices(n, k=1)
+        cands = np.vstack([cands, 0.5 * (x[i] + x[j])])
     best_idx, best_val = best_above(cands, -np.inf)
     best = cands[best_idx].copy()
 
@@ -236,7 +235,7 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
     del sq              # from _SORTED_MIN_N rows on the kernel keeps a padded copy
 
     n_tail = min(32, k_dirs)
-    screen = _ProbeScreen(kernel, k_dirs)
+    screen = _ProbeScreen(k_dirs)
     ladder = []                                         # eta = 1, 1/2, ...
     eta = 1.0
     while eta >= _TOLERANCE:
@@ -279,8 +278,8 @@ def deepest_scatter(data, center, cfg=None, return_info=False):
             # of the product for all of u, so probe counts are pool counts;
             # each candidate's row equals its own product.
             tp = np.einsum("kj,cjl,kl->ck", u_probe, cands, u_probe)
-            low = np.sort(screen.counts(tp, 1e-12 * np.maximum(1.0, tp)),
-                          axis=1)[:, :n_tail]
+            low = np.sort(kernel.counts(tp, 1e-12 * np.maximum(1.0, tp),
+                                        cols=screen.cols), axis=1)[:, :n_tail]
             for cand, lo in zip(cands, low):
                 if (lo[0], lo.sum()) < key:
                     screened += 1
@@ -458,11 +457,18 @@ def deepest_regression(x, y, cfg=None):
     observations (every pair at p = 2 and n <= 60, else seeded draws), and
     shrinking perturbations around the incumbent; the depth of each
     candidate is exact for p <= 2 and direction-sampled otherwise.  The
-    subset fits come from one stacked solve.  At every p >= 2 the subset
-    batch and each ascent round are counted against sign tables of the
-    design built once (:class:`~depthlab.depth._RegressionSigns`; float32,
-    with exact counts, up to n = 2^24), which give the depths of
-    :func:`~depthlab.depth.regression_depth`.
+    seeded subsets are those of successive ``gen.choice`` calls, drawn in
+    one call (:func:`~depthlab.numerics.draw_subsets`), and their fits come
+    from one stacked solve.  At every p >= 2 the subset batch and each
+    ascent round are counted against sign tables of the design built once
+    (:class:`~depthlab.depth._RegressionSigns`; float32, with exact counts,
+    up to n = 2^24), which give the depths of
+    :func:`~depthlab.depth.regression_depth`.  Each batch is bounded first
+    by its counts over a probe set of table columns, and only the fits
+    whose bound can still reach the best are counted in full
+    (:meth:`~depthlab.depth._RegressionSigns.best`), so the fit and the
+    stream the ascent continues from are those of counting every
+    candidate.
     """
     x = as_dataset(x)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -476,12 +482,13 @@ def deepest_regression(x, y, cfg=None):
     cfg = cfg or SearchConfig()
 
     if p == 1:
-        def depths(betas):
-            return [regression_depth(b, x, yv) for b in betas]
+        def best_above(betas, floor):
+            return _first_max_above([regression_depth(b, x, yv) for b in betas],
+                                    floor)
     else:
         dirs = None if p == 2 else unit_directions(
             _DIRECTIONS_PER_DIM * p, p, cfg.rng.child(31))
-        depths = _RegressionSigns(x, yv, dirs).depths
+        best_above = _RegressionSigns(x, yv, dirs).best
 
     cands = [np.linalg.lstsq(x, yv, rcond=None)[0]]
     gen = cfg.rng.child(32).generator()
@@ -489,23 +496,16 @@ def deepest_regression(x, y, cfg=None):
         nz = np.abs(x[:, 0]) > 1e-12
         cands.extend(np.array([yv[i] / x[i, 0]]) for i in np.where(nz)[0][:400])
     else:
-        max_subsets = 300 if n <= 60 else 1000
         if p == 2 and n <= 60:
-            subsets = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            subsets = np.column_stack(np.triu_indices(n, k=1))
         else:
-            subsets = [gen.choice(n, size=p, replace=False)
-                       for _ in range(max_subsets)]
-        cands.extend(_subset_fits(x, yv, np.array(subsets)))
+            subsets = draw_subsets(gen, n, p, 300 if n <= 60 else 1000)
+        cands.extend(_subset_fits(x, yv, subsets))
     cands = np.array(cands)
 
-    vals = depths(cands)
-    best_idx = int(np.argmax(vals))
-    best, best_val = cands[best_idx].copy(), vals[best_idx]
+    best_idx, best_val = best_above(cands, -np.inf)
+    best = cands[best_idx].copy()
     if best_val >= 1.0:
         return best
-
-    def best_above(props, floor):
-        return _first_max_above(depths(props), floor)
-
     return _perturbation_ascent(best_above, best, best_val,
                                 max(np.linalg.norm(best), 1.0), 0.5, 16, gen)

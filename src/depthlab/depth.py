@@ -239,21 +239,21 @@ class _SortedCounts:
 
 
 class _ProbeScreen:
-    """Probe set of a sampled depth search: the columns over which a batch
+    """Probe set of a screened depth search: the columns over which a batch
     of candidates is counted before any of them is counted in full.
 
-    A sampled depth is a minimum of counts over the pool's columns, so the
-    counts over any subset of them bound it from above.  The probe set is
-    ``_PROBE_COLUMNS`` evenly spaced columns joined with the incumbent's
-    worst columns, where a candidate near the incumbent is most likely to
-    count low too.  :meth:`focus` moves the set to a new incumbent; the
-    caller compares the probe counts with that incumbent's score.  Which
-    columns are probed changes only how many candidates the bound rules
-    out, never which one a search keeps.
+    A depth that is a minimum of counts over columns (pool directions, or
+    the critical directions of a sign table) is bounded from above by the
+    counts over any subset of them.  The probe set is ``_PROBE_COLUMNS``
+    evenly spaced columns joined with the incumbent's worst columns, where
+    a candidate near the incumbent is most likely to count low too.
+    :meth:`focus` moves the set to a new incumbent; the caller compares the
+    probe counts with that incumbent's score.  Which columns are probed
+    changes only how many candidates the bound rules out, never which one a
+    search keeps.
     """
 
-    def __init__(self, kernel, k):
-        self.kernel = kernel
+    def __init__(self, k):
         self.spread = np.linspace(0, k - 1, min(k, _PROBE_COLUMNS)).astype(int)
         self.cols = self.spread
 
@@ -261,10 +261,32 @@ class _ProbeScreen:
         """Probe ``worst``, the incumbent's worst columns, and the spread."""
         self.cols = np.union1d(worst, self.spread)
 
-    def counts(self, t, tol):
-        """Counts of a batch over the probe columns: ``t`` is
-        (..., len(cols)) and holds the thresholds of those columns."""
-        return self.kernel.counts(t, tol, cols=self.cols)
+    def first_deepest(self, bound, count, n, floor):
+        """``(index, depth)`` of the first deepest candidate, or None when
+        no candidate is deeper than ``floor``; then the probe moves to the
+        winner's ``_PROBE_COLUMNS`` worst columns.
+
+        ``bound`` holds each candidate's probe count, an integer upper
+        bound on its depth count (depth times ``n``), and ``count(i)`` the
+        counts of candidate i over all columns, whose minimum is its depth
+        count.  Candidates are counted from the highest bound down, ties in
+        index order, until the bound falls below the best count so far:
+        the rest cannot reach it.  A later candidate of equal count wins
+        only with a smaller index, so the result is the first maximum an
+        exhaustive count gives.
+        """
+        best_i, best_c, best_counts = None, -1, None
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] < best_c or bound[i] / n <= floor:
+                break
+            c = count(i)
+            c_min = c.min()
+            if c_min > best_c or (c_min == best_c and i < best_i):
+                best_i, best_c, best_counts = int(i), int(c_min), c
+        if best_i is None or best_c / n <= floor:
+            return None
+        self.focus(np.argsort(best_counts, kind="stable")[:_PROBE_COLUMNS])
+        return best_i, best_c / n
 
 
 class _ProjectionDepth:
@@ -286,7 +308,7 @@ class _ProjectionDepth:
         self.tol = _TIE_RTOL * np.maximum(
             1.0, np.maximum(np.abs(proj[0]), np.abs(proj[-1])))
         self.kernel = _SortedCounts(proj)
-        self.screen = _ProbeScreen(self.kernel, self.u.shape[0])
+        self.screen = _ProbeScreen(self.u.shape[0])
 
     def depths(self, thetas):
         t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
@@ -299,28 +321,16 @@ class _ProjectionDepth:
         Each candidate's bound is its minimum count over the probe set:
         the spread columns and, once a call has found a winner, the 64
         worst columns of the last winner, which a caller's ascent keeps as
-        its incumbent.  Only candidates whose bound can still reach the
-        running best are counted in full, highest bound first, and the
-        winner's full counts give the next probe set.  The product with the
-        pool is formed once for the whole batch: a product of a sub-batch
-        may round differently.
+        its incumbent (:meth:`_ProbeScreen.first_deepest`).  The product
+        with the pool is formed once for the whole batch: a product of a
+        sub-batch may round differently.
         """
         t = np.atleast_2d(thetas) @ self.u.T           # (C, K)
         cols = self.screen.cols
-        bound = self.screen.counts(t[:, cols], self.tol[cols]).min(axis=1)
-        best_i, best_c, best_counts = None, -1, None
-        for i in np.argsort(-bound, kind="stable"):
-            if bound[i] < best_c or bound[i] / self.n <= floor:
-                break
-            c = self.kernel.counts(t[i], self.tol)
-            c_min = c.min()
-            if c_min > best_c or (c_min == best_c and i < best_i):
-                best_i, best_c, best_counts = int(i), int(c_min), c
-        if best_i is None or best_c / self.n <= floor:
-            return None
-        worst = np.argsort(best_counts, kind="stable")[:_PROBE_COLUMNS]
-        self.screen.focus(worst)
-        return best_i, best_c / self.n
+        bound = self.kernel.counts(t[:, cols], self.tol[cols],
+                                   cols=cols).min(axis=1)
+        return self.screen.first_deepest(
+            bound, lambda i: self.kernel.counts(t[i], self.tol), self.n, floor)
 
 
 def tukey_depth(theta, data, dirs=None):
@@ -546,6 +556,19 @@ class _RegressionSigns:
             tol = _TIE_RTOL * np.maximum(1.0, np.abs(xu).max(axis=0))
         dtype = np.float32 if x.shape[0] <= _F32_EXACT else np.float64
         self.table = np.vstack([xu < -tol, xu > tol]).astype(dtype)  # [N; P]
+        self.screen = _ProbeScreen(self.table.shape[1])
+
+    def _wrong(self, betas, table):
+        """Per fit and column of ``table``, the number of wrong-signed
+        scores: the larger of u's and -u's with a pool."""
+        r = _fit_residuals(self.x, self.y, betas)
+        tol = _TIE_RTOL * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
+        pos, neg = r > tol, r < -tol
+        signs = np.hstack([pos, neg])                            # [R+ R-]
+        if self.pool:
+            signs = np.vstack([signs, np.hstack([neg, pos])])    # and -u
+        wrong = signs.astype(table.dtype) @ table
+        return wrong.reshape(-1, len(r), table.shape[1]).max(axis=0)
 
     def depths(self, betas):
         """Depths of the fits ``betas`` (one per row), counted
@@ -555,16 +578,30 @@ class _RegressionSigns:
         n = self.x.shape[0]
         out = np.empty(len(betas))
         for lo in range(0, len(betas), _FIT_BLOCK):
-            r = _fit_residuals(self.x, self.y, betas[lo:lo + _FIT_BLOCK])
-            tol = _TIE_RTOL * np.maximum(1.0, np.abs(r).max(axis=1))[:, None]
-            pos, neg = r > tol, r < -tol
-            signs = np.hstack([pos, neg])                        # [R+ R-]
-            if self.pool:
-                signs = np.vstack([signs, np.hstack([neg, pos])])  # and -u
-            wrong = signs.astype(self.table.dtype) @ self.table
-            wrong = wrong.reshape(-1, len(r), wrong.shape[1]).max(axis=(0, 2))
-            out[lo:lo + len(r)] = (n - wrong.astype(float)) / n
+            wrong = self._wrong(betas[lo:lo + _FIT_BLOCK], self.table)
+            out[lo:lo + len(wrong)] = (n - wrong.max(axis=1).astype(float)) / n
         return out
+
+    def best(self, betas, floor):
+        """``(index, depth)`` of the first deepest fit, or None when no fit
+        is deeper than ``floor``: the first maximum of :meth:`depths`.
+
+        Each fit's bound is n minus its largest wrong count over the
+        columns of a :class:`_ProbeScreen`, 64 evenly spaced columns and,
+        once a call has found a winner, that winner's 64 worst; fits are
+        counted in full from the highest bound down
+        (:meth:`_ProbeScreen.first_deepest`).  The counts are integers, so
+        any split of the columns or fits counts the same.
+        """
+        betas = np.asarray(betas, dtype=float)
+        n = self.x.shape[0]
+        probe = self.table[:, self.screen.cols]
+        bound = np.concatenate([
+            n - self._wrong(betas[lo:lo + _FIT_BLOCK], probe).max(axis=1)
+            for lo in range(0, len(betas), _FIT_BLOCK)]).astype(int)
+        return self.screen.first_deepest(
+            bound, lambda i: n - self._wrong(betas[i:i + 1], self.table)[0],
+            n, floor)
 
 
 def regression_depth(beta, x, y, dirs=None):

@@ -3,7 +3,8 @@
 Standard normal distribution functions, a symmetric eigensolver with a
 descending-eigenvalue convention, Mahalanobis distances, the implicit
 M-scale solver used by S-estimators, and reproducible direction sampling
-on the unit sphere.
+on the unit sphere, and random subsets drawn as ``Generator.choice`` draws
+them.
 
 Everything here is pure: no global state, no hidden RNGs.  Randomness is
 always threaded through an explicit :class:`RngStream`, which is a value
@@ -30,6 +31,7 @@ __all__ = [
     "mahalanobis_sq",
     "m_scale",
     "unit_directions",
+    "draw_subsets",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -336,3 +338,37 @@ def unit_directions(count, p, rng):
         g[bad] = 1.0
         norms = np.linalg.norm(g, axis=1)
     return g / norms[:, None]
+
+
+def draw_subsets(gen, n, size, count):
+    """The subsets of ``count`` successive ``gen.choice(n, size=size,
+    replace=False)`` calls, as a ``(count, size)`` array, from one
+    ``gen.integers`` call; ``gen`` is left in the same state as after them.
+
+    Without replacement numpy takes, for n <= 10000 or size <= n // 50,
+    Floyd's sampling (draw k takes a uniform value on [0, n - size + k], or
+    n - size + k itself when an earlier draw holds that value) followed by
+    Fisher-Yates swaps of positions size - 1, ..., 1, each with a uniform
+    position at or below it.  Every bounded integer comes from Lemire's
+    rejection on 32-bit words, as ``gen.integers`` draws an array of
+    per-element bounds, so one call with the bounds of every draw in order
+    yields the same values; Floyd's rule and the swaps then run over all
+    draws at once.  On numpy's other path (a tail shuffle of all n
+    positions) the draws are made one call at a time.
+    """
+    if n > 10000 and size > n // 50:
+        return np.reshape([gen.choice(n, size=size, replace=False)
+                           for _ in range(count)], (count, size))
+    bounds = np.concatenate([np.arange(n - size, n), np.arange(size - 1, 0, -1)])
+    draws = gen.integers(0, np.tile(bounds, count),
+                         endpoint=True).reshape(count, bounds.size)
+    out = np.empty((count, size), dtype=np.int64)
+    for k in range(size):
+        v = draws[:, k]
+        held = (out[:, :k] == v[:, None]).any(axis=1)
+        out[:, k] = np.where(held, n - size + k, v)
+    rows = np.arange(count)
+    for step, i in enumerate(range(size - 1, 0, -1)):
+        j = draws[:, size + step]
+        out[rows, i], out[rows, j] = out[rows, j], out[rows, i]
+    return out

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from depthlab.deepest import SearchConfig, deepest_scatter
+from depthlab.deepest import (SearchConfig, deepest_regression,
+                              deepest_scatter, tukey_median)
 from depthlab.depth import (
     default_mvreg_candidates,
     ls_depth1,
@@ -63,6 +64,13 @@ DESK_GRID_SHA256 = (
 # run at these sizes.
 GRID_P5_SHA256 = (
     "842459944de03461e5edbaea3f4fd36ba342f5ed2f70c439aba9c267c8a0737e")
+
+# sha256 of the exact p = 2 fits of four fits_p2_exact-style inputs: the
+# deepest regression (n = 200, t3 noise, 40 responses moved to a point mass
+# at 15) and the Tukey median (n = 400).  No records grid runs these
+# searches at these sizes.
+FITS_P2_SHA256 = (
+    "ff1c02e6f4c0436c4315c1238ec188c910e947911385b23e4d990d5186d08a2f")
 
 
 def _quantile_oracle(q):
@@ -264,6 +272,21 @@ class TestCriterion8Determinism:
         write_records_csv(run_grid(cells, replicates=1), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_P5_SHA256
         _report(8, "grid_p5 records match the pinned sha256")
+
+    def test_fits_p2_digest(self):
+        digest = hashlib.sha256()
+        for seed in (1, 2, 3, 4):
+            gen = np.random.default_rng(seed)
+            z = gen.standard_normal(200)
+            x = np.column_stack([np.ones(200), z])
+            y = 1.0 + 2.0 * z + gen.standard_t(3, 200)
+            y[gen.permutation(200)[:40]] = 15.0
+            cfg = SearchConfig(rng=RngStream(seed))
+            digest.update(deepest_regression(x, y, cfg).tobytes())
+            digest.update(tukey_median(gen.standard_normal((400, 2)),
+                                       cfg).tobytes())
+        assert digest.hexdigest() == FITS_P2_SHA256
+        _report(8, "exact p = 2 fits match the pinned sha256")
 
     def test_pipeline_byte_identical(self, tmp_path):
         cells = [ContaminationSpec(p=2, n=20, epsilon=0.1, k=k, seed=SEED)

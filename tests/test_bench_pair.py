@@ -48,6 +48,7 @@ def test_wins_count_pairs_and_ties_for_neither():
     assert entry["seeds"] == [1, 2, 3] and entry["correct"]
     assert "records_equal_on_common_passes" not in entry
     assert "passes_per_seed" not in entry
+    assert "passes_one_side_only" not in entry
     assert entry["failed_share"]["change"] == {
         "failed": 0, "attempted": 300, "share": 0.0}
 
@@ -91,6 +92,20 @@ def test_failed_share_and_passes_per_seed():
         "parent": {"1": 2, "2": 1},
         "change": {"1": 3, "2": 1, "3": 1}}
     assert entry["records_equal_on_common_passes"] == "3 of 3 passes"
+    assert entry["passes_one_side_only"] == {"parent": [], "change": [[1, 2]]}
+
+
+def test_passes_one_side_only_lists_each_side_by_seed_and_pass():
+    # Each side reaches passes the other does not; seed 3 ran on one side
+    # only, so it has no pair and lists nothing.
+    runs = [record("parent", 1, 1.0, 0.5, {f"pass{i}": "a" for i in range(12)}),
+            record("change", 1, 2.0, 0.4, {f"pass{i}": "a" for i in range(10)}),
+            record("parent", 2, 1.0, 0.5, {"pass0": "b"}),
+            record("change", 2, 2.0, 0.4, {f"pass{i}": "b" for i in range(3)}),
+            record("change", 3, 2.0, 0.4, {"pass0": "c", "pass1": "d"})]
+    entry = bench_pair.summarize(runs, END_TO_END)["w"]
+    assert entry["passes_one_side_only"] == {
+        "parent": [[1, 10], [1, 11]], "change": [[2, 1], [2, 2]]}
 
 
 def test_traced_runs_keep_metrics_nonzero_on_either_side():

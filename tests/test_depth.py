@@ -187,6 +187,20 @@ def _tukey_exact_2d(theta, x):
     return float(counts.min()) / x.shape[0]
 
 
+def tukey_candidates_loop(x):
+    """The first batch of the exact p = 2 location search, built by loops:
+    the coordinatewise median, the mean, the first 200 rows and, up to
+    n = 60, every pairwise midpoint."""
+    n = x.shape[0]
+    cands = [np.median(x, axis=0), x.mean(axis=0)]
+    cands.extend(x[i] for i in range(min(n, 200)))
+    if n <= deepest_mod._MIDPOINT_MAX_N:
+        for i in range(n):
+            for j in range(i + 1, n):
+                cands.append(0.5 * (x[i] + x[j]))
+    return np.array(cands)
+
+
 def assert_sweep_is_exact(thetas, x):
     expected = [_tukey_exact_2d(t, x) for t in thetas]
     assert _tukey_sweep(thetas, x).tolist() == expected
@@ -257,14 +271,15 @@ class TestTukeySweep:
 
     def test_sweep_counts_every_exact_search(self, monkeypatch):
         # Up to n = 400 the sweep counts every candidate, midpoints included
-        # (n <= 60); above it the sampled pool does.
+        # (n <= 60) and in the order of the loops; above it the sampled pool
+        # does.
         def fail(*args):
             raise AssertionError("wrong p = 2 location count")
 
         swept = []
 
         def sweep(thetas, data):
-            swept.append(len(thetas))
+            swept.append(thetas.copy())
             return _tukey_sweep(thetas, data)
 
         gen = np.random.default_rng(47)
@@ -273,11 +288,11 @@ class TestTukeySweep:
         with monkeypatch.context() as m:
             m.setattr(deepest_mod, "_tukey_sweep", sweep)
             m.setattr(deepest_mod, "_ProjectionDepth", fail)
-            for n in (20, 60, 400):
+            for n in (20, 60, 61, 400):
                 swept.clear()
-                tukey_median(gen.standard_normal((n, 2)))
-                assert swept[0] == 2 + min(n, 200) + (
-                    n * (n - 1) // 2 if n <= deepest_mod._MIDPOINT_MAX_N else 0)
+                x = gen.standard_normal((n, 2))
+                tukey_median(x)
+                assert np.array_equal(swept[0], tukey_candidates_loop(x))
         monkeypatch.setattr(deepest_mod, "_tukey_sweep", fail)
         tukey_median(gen.standard_normal((401, 2)))
 
@@ -434,18 +449,52 @@ class TestRegressionDepthP2:
                             lambda a: angles(a)[len(angles(a)) // 2:])
         assert regression_depth_directions(beta, x, y) == 3 / 4
 
-    @pytest.mark.parametrize("n", [20, 200])
-    def test_deepest_regression_unchanged_by_sign_tables(self, n, monkeypatch):
-        gen = np.random.default_rng(n)
-        z = gen.standard_normal(n)
-        x = np.column_stack([np.ones(n), z])
-        y = 1.0 + 2.0 * z + gen.standard_t(3, n)
-        y[gen.random(n) < 0.2] = 15.0
+    @pytest.mark.parametrize("n", [20, 60, 61, 200])
+    def test_deepest_regression_unchanged_by_sign_tables(self, n):
+        x, y = regression_search_case(n, 2)
         cfg = SearchConfig(rng=RngStream(9))
-        tabled = deepest_regression(x, y, cfg)
-        monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
-            regression_depth_directions(b, self.x, self.y) for b in betas])
-        assert np.array_equal(tabled, deepest_regression(x, y, cfg))
+        expected = deepest_regression_reference(x, y, cfg, lambda betas: [
+            regression_depth_directions(b, x, y) for b in betas])
+        assert np.array_equal(deepest_regression(x, y, cfg), expected)
+
+
+def regression_search_case(n, p):
+    """A design with an intercept and p - 1 Gaussian covariates, t3 noise
+    and a point mass of about 20% of the responses at 15."""
+    gen = np.random.default_rng(n)
+    z = gen.standard_normal((n, p - 1))
+    x = np.column_stack([np.ones(n), z])
+    y = 1.0 + z @ [2.0, -1.0][:p - 1] + gen.standard_t(3, n)
+    y[gen.random(n) < 0.2] = 15.0
+    return x, y
+
+
+def deepest_regression_reference(x, y, cfg, depths):
+    """``deepest_regression`` at p >= 2 as one exhaustive count per batch:
+    the pairs from loops (p = 2, n <= 60) or successive ``gen.choice``
+    calls, one solve per subset, and every candidate of the subset batch
+    and of each ascent round counted by ``depths(betas)``, whose first
+    maximum wins."""
+    n, p = x.shape
+    gen = cfg.rng.child(32).generator()
+    if p == 2 and n <= 60:
+        subsets = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        subsets = [gen.choice(n, size=p, replace=False)
+                   for _ in range(300 if n <= 60 else 1000)]
+    cands = np.vstack([np.linalg.lstsq(x, y, rcond=None)[0],
+                       subset_fits_loop(x, y, subsets)])
+
+    def best_above(betas, floor):
+        return deepest_mod._first_max_above(np.asarray(depths(betas)), floor)
+
+    best_idx, best_val = best_above(cands, -np.inf)
+    best = cands[best_idx].copy()
+    if best_val >= 1.0:
+        return best
+    return deepest_mod._perturbation_ascent(
+        best_above, best, best_val, max(np.linalg.norm(best), 1.0), 0.5, 16,
+        gen)
 
 
 def regression_depth_sampled(beta, x, y, dirs):
@@ -512,19 +561,13 @@ class TestRegressionSignsSampled:
                     for b in betas] == expected
 
     @pytest.mark.parametrize("n", [30, 80])
-    def test_deepest_regression_p3_unchanged_by_sign_tables(self, n,
-                                                             monkeypatch):
-        gen = np.random.default_rng(n)
-        z = gen.standard_normal((n, 2))
-        x = np.column_stack([np.ones(n), z])
-        y = 1.0 + z @ [2.0, -1.0] + gen.standard_t(3, n)
-        y[gen.random(n) < 0.2] = 15.0
+    def test_deepest_regression_p3_unchanged_by_sign_tables(self, n):
+        x, y = regression_search_case(n, 3)
         cfg = SearchConfig(rng=RngStream(9))
-        tabled = deepest_regression(x, y, cfg)
         dirs = unit_directions(_DIRECTIONS_PER_DIM * 3, 3, cfg.rng.child(31))
-        monkeypatch.setattr(_RegressionSigns, "depths", lambda self, betas: [
-            regression_depth_sampled(b, self.x, self.y, dirs) for b in betas])
-        assert np.array_equal(tabled, deepest_regression(x, y, cfg))
+        expected = deepest_regression_reference(x, y, cfg, lambda betas: [
+            regression_depth_sampled(b, x, y, dirs) for b in betas])
+        assert np.array_equal(deepest_regression(x, y, cfg), expected)
 
     def test_float64_tables_beyond_float32_exact_counts(self, monkeypatch):
         # Designs with more rows than float32 counts exactly get float64
@@ -546,6 +589,87 @@ class TestRegressionSignsSampled:
             regression_depth([1.0, 2.0], x, np.zeros(4), dirs=np.eye(3))
         with pytest.raises(ValueError):
             regression_depth([1.0, 2.0, 3.0], x, np.zeros(4))
+
+
+def regression_best_reference(signs, betas, floor):
+    """``_RegressionSigns.best`` without its screen: every fit counted in
+    full, and the first maximum wins."""
+    return deepest_mod._first_max_above(signs.depths(betas), floor)
+
+
+def regression_best_cases():
+    """(x, y, fits, pool) of screened regression searches: p = 2 designs
+    with t3 noise and a point mass in y around the pair-listing cutoff
+    n = 60, fits through pairs and around the deepest of them; a perfect
+    fit of every row (depth 1); integer-tie designs; p = 3 with a pool."""
+    cases = []
+    for n in (20, 60, 61, 200):
+        x, y = regression_search_case(n, 2)
+        gen = np.random.default_rng(n + 1)
+        pairs = np.array([gen.choice(n, size=2, replace=False)
+                          for _ in range(300)])
+        fits = _subset_fits(x, y, pairs)
+        top = fits[np.argmax(_RegressionSigns(x, y).depths(fits))]
+        fits = np.vstack([fits, top + 0.05 * gen.standard_normal((40, 2))])
+        cases.append((x, y, fits, None))
+    gen = np.random.default_rng(5)
+    x = np.column_stack([np.ones(50), gen.standard_normal(50)])
+    cases.append((x, x @ [0.5, -1.0], np.vstack([gen.standard_normal((30, 2)),
+                                                 [0.5, -1.0]]), None))
+    for seed in range(12):
+        x, y, betas, _ = integer_regression_cases(seed)
+        cases.append((x, y, betas, None))
+    for seed in range(6):
+        cases.append(integer_pool_cases(seed, 3))
+    x, y = regression_search_case(80, 3)
+    gen = np.random.default_rng(3)
+    triples = np.array([gen.choice(80, size=3, replace=False)
+                        for _ in range(200)])
+    cases.append((x, y, _subset_fits(x, y, triples),
+                  unit_directions(_DIRECTIONS_PER_DIM * 3, 3, RngStream(4))))
+    return cases
+
+
+class TestRegressionSignsBest:
+    @pytest.mark.parametrize("case", range(len(regression_best_cases())))
+    def test_matches_first_maximum_of_depths(self, case):
+        # One evaluator serves every floor, so later calls probe the worst
+        # columns of an earlier winner; the floors include the top depth,
+        # which no fit beats, and the depth just below it.
+        x, y, fits, dirs = regression_best_cases()[case]
+        signs = _RegressionSigns(x, y, dirs)
+        depths = signs.depths(fits)
+        n = x.shape[0]
+        top = depths.max()
+        below = depths[depths < top]
+        floors = [-np.inf, top - 1 / n, top, top + 1 / n, 0.0,
+                  below.max() if below.size else -1.0]
+        for floor in floors:
+            for batch in (fits, fits[::-1], fits[: len(fits) // 3]):
+                assert signs.best(batch, floor) == \
+                    regression_best_reference(signs, batch, floor)
+        assert signs.best(fits, top) is None
+        if case == 4:
+            assert top == 1.0 and signs.best(fits, -np.inf) == (len(fits) - 1,
+                                                                1.0)
+
+    @pytest.mark.parametrize("n, p", [(20, 2), (200, 2), (80, 3)])
+    def test_every_call_of_a_search_matches_reference(self, n, p,
+                                                      monkeypatch):
+        real = _RegressionSigns.best
+        focused = []
+
+        def best(self, betas, floor):
+            want = regression_best_reference(self, betas, floor)
+            focused.append(len(self.screen.cols) > len(self.screen.spread))
+            got = real(self, betas, floor)
+            assert got == want
+            return got
+
+        monkeypatch.setattr(_RegressionSigns, "best", best)
+        x, y = regression_search_case(n, p)
+        deepest_regression(x, y, SearchConfig(rng=RngStream(n)))
+        assert not focused[0] and all(focused[1:]) and len(focused) > 1
 
 
 class TestFitResiduals:

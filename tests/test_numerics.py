@@ -9,6 +9,7 @@ from depthlab.estimators import rho_rocke, rocke_gamma
 from depthlab.numerics import (
     RngStream,
     SpdMatrix,
+    draw_subsets,
     m_scale,
     mahalanobis_sq,
     std_normal_cdf,
@@ -319,6 +320,66 @@ class TestDirections:
             if np.linalg.norm(u.mean(axis=0)) > 5.0 / math.sqrt(count):
                 fails += 1
         assert fails == 0
+
+
+def same_state(a, b):
+    """Equal bit-generator states (nested dicts of ints and arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class CallLog:
+    """A generator that records which of its methods a caller used."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.gen, name)
+
+
+def assert_draws_like_choice(n, size, count, seed, pending=False):
+    """``draw_subsets`` against ``count`` successive ``gen.choice`` calls on
+    two copies of one stream: the subsets, the generator state after them
+    and the stream's next draws.  ``pending`` first draws one small integer,
+    which leaves half of a 64-bit word buffered."""
+    ref, got = RngStream(seed).generator(), RngStream(seed).generator()
+    if pending:
+        ref.integers(0, 7), got.integers(0, 7)
+    want = np.array([ref.choice(n, size=size, replace=False)
+                     for _ in range(count)])
+    log = CallLog(got)
+    assert np.array_equal(draw_subsets(log, n, size, count), want)
+    assert same_state(got.bit_generator.state, ref.bit_generator.state)
+    assert np.array_equal(got.integers(0, 1000, 5), ref.integers(0, 1000, 5))
+    assert np.array_equal(got.random(3), ref.random(3))
+    return log.calls
+
+
+class TestDrawSubsets:
+    def test_equals_successive_choice_calls(self):
+        gen = np.random.default_rng(90)
+        for case in range(60):
+            n = int(gen.integers(2, 40 if case % 2 else 10001))
+            size = int(gen.integers(1, min(n, 16) + 1))
+            count = int(gen.integers(1, 1201 if case % 10 == 0 else 60))
+            calls = assert_draws_like_choice(n, size, count, case,
+                                             pending=case % 3 == 0)
+            assert calls == ["integers"]
+
+    @pytest.mark.parametrize("n, size", [(2, 1), (2, 2), (16, 16), (10000, 16),
+                                         (10000, 1), (200, 2)])
+    def test_edges(self, n, size):
+        for pending in (False, True):
+            assert_draws_like_choice(n, size, 1200, n + size, pending)
+
+    def test_falls_back_where_numpy_shuffles_every_position(self):
+        # Above n = 10000 numpy shuffles the tail of all n positions once
+        # size exceeds n // 50; there the draws are made one call at a time.
+        assert assert_draws_like_choice(10001, 200, 5, 3, True) == ["integers"]
+        assert assert_draws_like_choice(10001, 201, 5, 3, True) == ["choice"] * 5
 
 
 class TestSpdMatrix:
